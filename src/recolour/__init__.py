@@ -5,7 +5,8 @@ Library layout:
 * :mod:`recolour.graph`, :mod:`recolour.colouring` -- graphs, colourings,
   vertex-freedom predicates, recolouring sequences and the file formats;
 * :mod:`recolour.degeneracy` -- degeneracy orderings and prescribed-budget
-  partitions;
+  partitions (the package attribute is this module; the function is
+  :func:`recolour.degeneracy.degeneracy`);
 * :mod:`recolour.engine` -- the constructive algorithms (scratch swaps,
   top-colour elimination, quadratic walks between colourings);
 * :mod:`recolour.explorer` -- the exhaustive reconfiguration-graph oracle
@@ -46,7 +47,6 @@ from .degeneracy import (
     augment_to_maximal_independent,
     brute_force_degeneracy,
     check_non_regular_degeneracy,
-    degeneracy,
     degeneracy_ordering,
     degenerate_partition,
 )

@@ -179,8 +179,7 @@ def cmd_path(cfg: RunConfig) -> int:
         and not g.is_regular()
     )
     if constructive:
-        seq = find_path_non_regular(g, a, b)
-        apply_sequence(g, a, seq)
+        seq = find_path_non_regular(g, a, b)  # replayed and checked inside
         _emit_sequence(cfg, seq)
         return EXIT_OK
 

@@ -46,7 +46,6 @@ from .colouring import (
 )
 from .degeneracy import (
     augment_to_maximal_independent,
-    degeneracy,
     degeneracy_ordering,
     degenerate_partition,
 )
@@ -229,7 +228,7 @@ def _elimination_setup(g: Graph, k: int):
         )
     if g.max_degree > k - 1:
         raise ValueError(f"palette {k} is too small for maximum degree {g.max_degree}")
-    position = {v: idx for idx, v in enumerate(ordering.order)}
+    position = ordering.positions
     latest_nb = [
         max(g.adjacency[v], key=position.__getitem__) if g.adjacency[v] else None
         for v in range(g.n)
@@ -401,10 +400,9 @@ def path_between_delta_colourings(
             raise NotDeltaColouringError(
                 f"colouring uses colour {worst}, above max degree {delta}"
             )
-    if degeneracy(g) > delta - 1:
-        raise DegeneracyTooHighError(
-            f"degeneracy {degeneracy(g)} is not below max degree {delta}"
-        )
+    d = degeneracy_ordering(g).degeneracy
+    if d > delta - 1:
+        raise DegeneracyTooHighError(f"degeneracy {d} is not below max degree {delta}")
     steps = _path_with_scratch(g, list(c1.colours), list(c2.colours), delta + 1)
     seq = RecolouringSequence(tuple(steps))
     final = apply_sequence(g, Colouring(delta + 1, c1.colours), seq)
@@ -419,7 +417,8 @@ def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSe
 
     Pipeline: eliminate the top colour from both sides, connect the two
     top-colour-free colourings, replay the second elimination backwards.
-    Total length is O(n^2); the sequence is validated before returning.
+    Total length is O(n^2).  The parts are built unvalidated and the whole
+    sequence is replayed once before returning.
     """
     if not g.is_connected():
         raise GraphDisconnectedError("path construction requires a connected graph")
@@ -435,11 +434,12 @@ def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSe
     if a.colours == b.colours:
         return RecolouringSequence()
 
-    seq_a, low_a = eliminate_top_colour(g, a)
-    seq_b, low_b = eliminate_top_colour(g, b)
-    mid = path_between_delta_colourings(g, low_a, low_b)
-    back = _reverse_raw(list(b.colours), list(seq_b.steps))
-    seq = RecolouringSequence(seq_a.steps + mid.steps + tuple(back))
+    # _eliminate checks degeneracy <= D-1, which the middle segment needs too
+    elim_a, low_a = _eliminate(g, list(a.colours), delta + 1)
+    elim_b, low_b = _eliminate(g, list(b.colours), delta + 1)
+    mid = _path_with_scratch(g, low_a, low_b, delta + 1)
+    back = _reverse_raw(list(b.colours), elim_b)
+    seq = RecolouringSequence(tuple(elim_a + mid + back))
     final = apply_sequence(g, a, seq)
     if final.colours != b.colours:
         raise AssertionError("pipeline did not end at the target colouring")

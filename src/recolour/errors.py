@@ -71,6 +71,11 @@ class PartNotIndependentError(RecolourError):
     """First part of a partition was required to be an independent set."""
 
 
+class InvalidPartitionError(RecolourError):
+    """Parts do not partition the vertices, a part exceeds its degeneracy
+    budget, or a part required to be maximal independent is not maximal."""
+
+
 class DegeneracyTooHighError(RecolourError):
     """Graph degeneracy too high for the requested palette."""
 

@@ -2,7 +2,8 @@
 
 Vertices are the integers ``0..n-1``.  Edges are stored as a sorted tuple of
 pairs ``(u, v)`` with ``u < v``; adjacency lists and degrees are derived and
-cached.  Graphs hash and compare by ``(n, edges)``, so they can key caches.
+cached on the instance, as is the degeneracy ordering.  Graphs hash and
+compare by ``(n, edges)``, so they can key caches.
 
 The edge-list text format is a bit-exact contract: first line ``n m``, then
 exactly ``m`` lines ``u v``.  Self-loops and duplicate edges are rejected.
@@ -13,9 +14,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import GraphParseError
+
+if TYPE_CHECKING:
+    from .degeneracy import DegeneracyOrdering
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,13 @@ class Graph:
     @cached_property
     def min_degree(self) -> int:
         return min(self.degree, default=0)
+
+    @cached_property
+    def degeneracy_ordering(self) -> "DegeneracyOrdering":
+        """Smallest-last degeneracy ordering, built on first use and kept."""
+        from .degeneracy import smallest_last_ordering  # degeneracy imports graph
+
+        return smallest_last_ordering(self)
 
     def is_regular(self) -> bool:
         return self.n == 0 or self.max_degree == self.min_degree

@@ -1,11 +1,19 @@
+import inspect
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recolour
 from recolour.degeneracy import (
+    DegeneracyOrdering,
+    DegeneratePartition,
+    _validate_parts,
     augment_to_maximal_independent,
     brute_force_degeneracy,
     check_non_regular_degeneracy,
@@ -17,6 +25,7 @@ from recolour.errors import (
     BudgetSumMismatchError,
     GraphDisconnectedError,
     GraphIsRegularError,
+    InvalidPartitionError,
     NotKDegenerateError,
     PartNotIndependentError,
 )
@@ -28,6 +37,26 @@ from recolour.graph import (
 )
 
 from conftest import random_graph
+
+
+def reference_min_scan_ordering(g: Graph) -> DegeneracyOrdering:
+    """The O(n^2) min-scan the heap replaced: same tie-break, by definition."""
+    n = g.n
+    deg = list(g.degree)
+    alive = [True] * n
+    order = [0] * n
+    for i in range(n - 1, -1, -1):
+        v = min((u for u in range(n) if alive[u]), key=lambda u: (deg[u], u))
+        order[i] = v
+        alive[v] = False
+        for w in g.adjacency[v]:
+            if alive[w]:
+                deg[w] -= 1
+    pos = {v: i for i, v in enumerate(order)}
+    back = tuple(
+        sum(1 for u in g.adjacency[v] if pos[u] < i) for i, v in enumerate(order)
+    )
+    return DegeneracyOrdering(tuple(order), back)
 
 
 def test_ordering_path(p3):
@@ -82,6 +111,43 @@ def test_induced_subgraphs_never_exceed_degeneracy(seed, n):
     vertices = [v for v in range(n) if rng.random() < 0.6]
     sub, _ = g.induced_subgraph(vertices)
     assert degeneracy(sub) <= d
+
+
+def test_ordering_matches_reference_min_scan():
+    rng = random.Random(1983)
+    for _ in range(300):
+        n = rng.randrange(0, 61)
+        g = random_graph(rng, n, rng.choice((0.05, 0.1, 0.3, 0.6)))
+        ordering = degeneracy_ordering(g)
+        assert ordering == reference_min_scan_ordering(g)
+        assert all(ordering.order[ordering.positions[v]] == v for v in range(n))
+
+
+def test_ordering_is_built_once_per_graph(petersen):
+    assert degeneracy_ordering(petersen) is degeneracy_ordering(petersen)
+    fresh = Graph(petersen.n, petersen.edges)
+    assert degeneracy_ordering(fresh) is not degeneracy_ordering(petersen)
+
+
+def test_degeneracy_matches_networkx_core_number():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(310)
+    for n, m in ((50, 400), (200, 600), (500, 5000), (2000, 6000), (2000, 20000)):
+        edges = set()
+        while len(edges) < m:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        g = Graph.from_edges(n, edges)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(g.edges)
+        assert degeneracy(g) == max(nx.core_number(nxg).values())
+
+
+def test_package_attribute_is_the_degeneracy_module():
+    assert inspect.ismodule(recolour.degeneracy)
+    assert recolour.degeneracy.degeneracy is degeneracy
 
 
 def test_non_regular_check(p3, c6, k4_minus_edge):
@@ -156,11 +222,46 @@ def test_partition_budget_sweep(seed, n, r, data):
         assert brute_force_degeneracy(sub) <= budget
 
 
+def test_validator_rejects_part_over_budget(k4):
+    with pytest.raises(InvalidPartitionError):
+        _validate_parts(k4, ((0, 1, 2, 3),), (0,), (0, 1, 2, 3))
+
+
+def test_validator_rejects_part_over_budget_under_optimize():
+    src = Path(recolour.__file__).resolve().parents[1]
+    script = (
+        "from recolour.degeneracy import _validate_parts\n"
+        "from recolour.errors import InvalidPartitionError\n"
+        "from recolour.graph import complete_graph\n"
+        "try:\n"
+        "    _validate_parts(complete_graph(4), ((0, 1, 2, 3),), (0,), (0, 1, 2, 3))\n"
+        "except InvalidPartitionError:\n"
+        "    print('rejected')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, cwd=src, check=True,
+    )
+    assert out.stdout.strip() == "rejected"
+
+
+def test_validator_rejects_non_partition(p3):
+    with pytest.raises(InvalidPartitionError):
+        _validate_parts(p3, ((0, 1), (1, 2)), (1, 1), (0, 1, 2))
+    with pytest.raises(InvalidPartitionError):
+        _validate_parts(p3, ((0,), (2,)), (0, 0), (0, 2))
+
+
+def test_augment_rejects_hand_built_part_over_budget(k4_minus_edge):
+    # {1, 2, 3} induces a path, which is not 0-degenerate
+    hand = DegeneratePartition(((0,), (1, 2, 3)), (0, 0))
+    with pytest.raises(InvalidPartitionError):
+        augment_to_maximal_independent(k4_minus_edge, hand)
+
+
 def test_augment_already_maximal(p3):
     part = degenerate_partition(p3, 1, (0, 0))
     # place the middle alone in part 1 by hand: already maximal
-    from recolour.degeneracy import DegeneratePartition
-
     hand = DegeneratePartition(((1,), (0, 2)), (0, 0))
     out = augment_to_maximal_independent(p3, hand)
     assert out.parts[0] == (1,)
@@ -168,8 +269,6 @@ def test_augment_already_maximal(p3):
 
 def test_augment_p4():
     g = path_graph(4)
-    from recolour.degeneracy import DegeneratePartition
-
     hand = DegeneratePartition(((0,), (1, 2, 3)), (0, 1))
     out = augment_to_maximal_independent(g, hand)
     assert out.parts[0] == (0, 2) or out.parts[0] == (0, 3)
@@ -178,8 +277,6 @@ def test_augment_p4():
 
 
 def test_augment_rejects_dependent_part(p3):
-    from recolour.degeneracy import DegeneratePartition
-
     with pytest.raises(PartNotIndependentError):
         augment_to_maximal_independent(
             p3, DegeneratePartition(((0, 1), (2,)), (0, 1))
