@@ -85,7 +85,7 @@ class Graph:
         return min(self.degree, default=0)
 
     @cached_property
-    def degeneracy_ordering(self) -> "DegeneracyOrdering":
+    def degeneracy_ordering(self) -> DegeneracyOrdering:
         """Smallest-last degeneracy ordering, built on first use and kept."""
         from .degeneracy import smallest_last_ordering  # degeneracy imports graph
 
