@@ -42,11 +42,17 @@ REASON_INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class PathDecision:
-    """Yes/no/unknown answer with the rule that produced it."""
+    """Yes/no/unknown answer with the rule that produced it.
+
+    ``space`` is the state space the exhaustive oracle enumerated for the
+    answer, None when a rule answered without one; a caller that goes on to
+    extract a walk reuses it instead of enumerating again.
+    """
 
     answer: bool | None
     reason: str
     witnesses: tuple = ()
+    space: ReconfigSpace | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         text = "inconclusive" if self.answer is None else ("yes" if self.answer else "no")
@@ -157,7 +163,7 @@ def decide_k_colour_path(
         return PathDecision(None, REASON_INCONCLUSIVE)
     _, labels = space.component_labels
     same = labels[space.index_of(a)] == labels[space.index_of(b)]
-    return PathDecision(bool(same), REASON_ORACLE)
+    return PathDecision(bool(same), REASON_ORACLE, space=space)
 
 
 @dataclass(frozen=True)

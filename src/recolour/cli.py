@@ -191,7 +191,7 @@ def cmd_path(cfg: RunConfig) -> int:
         print(f"inconclusive: {decision.reason}")
         return EXIT_INCONCLUSIVE
     try:
-        seq = oracle_path(g, k, a, b, cfg.limit)
+        seq = oracle_path(g, k, a, b, cfg.limit, space=decision.space)
     except StateSpaceLimitError as exc:
         print(f"path exists ({decision.reason}) but extraction exceeds the limit: {exc}")
         return EXIT_INCONCLUSIVE

@@ -92,6 +92,12 @@ class ComponentNotMaximalError(RecolourError):
     """Claimed two-colour component is not a maximal connected component."""
 
 
+class StateSpaceInvariantError(RecolourError):
+    """The exhaustive oracle broke one of its own invariants: a move or a
+    colour renaming left the enumerated states, a shortest-walk step changed
+    other than one vertex, or a reduced-form top vertex was not locked."""
+
+
 class StateSpaceLimitError(RecolourError):
     """Raw state count k**n exceeds the configured enumeration limit."""
 

@@ -16,6 +16,15 @@ is a cap on the raw state count k**n.
 
 States are interned as base-k integers of their colour vectors, which makes
 the lexicographic enumeration order coincide with ascending codes.
+
+Exact diameters use the symmetry of the reconfiguration graph.  Renaming the
+colours by a permutation of the palette keeps a colouring proper and keeps a
+one-vertex move a one-vertex move, so it is an automorphism of R_k(G) and
+preserves every distance, hence every eccentricity.  Each orbit holds one
+colour-canonical state, whose colours appear as 1, 2, ... in order of first
+occurrence along the vertex order.  So one BFS from each canonical state
+gives the eccentricity of every state, and a component's diameter is the
+largest eccentricity in it: about S / k! searches instead of S.
 """
 
 from __future__ import annotations
@@ -29,10 +38,13 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 from scipy.sparse.csgraph import dijkstra
 
 from .colouring import Colouring, RecolouringSequence, require_proper
-from .errors import StateSpaceLimitError
+from .errors import StateSpaceInvariantError, StateSpaceLimitError
 from .graph import Graph
 
 DEFAULT_STATE_LIMIT = 2_000_000
+
+# BFS sources per multi-source call: bounds the (sources, states) distance block
+_BFS_CHUNK = 64
 
 
 class ReconfigSpace:
@@ -94,9 +106,7 @@ class ReconfigSpace:
                 delta = (np.int64(colour) - current[idx].astype(np.int64)) * self.radix[v]
                 target = self.codes[idx] + delta
                 pos = np.searchsorted(self.codes, target)
-                assert np.array_equal(self.codes[pos], target), (
-                    "every single-vertex move must land on an enumerated state"
-                )
+                _require_enumerated(self.codes, pos, target, "a single-vertex move")
                 srcs.append(idx)
                 dsts.append(pos)
         if srcs:
@@ -117,35 +127,30 @@ class ReconfigSpace:
         return count, labels
 
     @cached_property
+    def _distinct_neighbour_colours(self) -> np.ndarray:
+        """(states, n) matrix: how many distinct colours each vertex's
+        neighbours carry.  A neighbour adds one when its colour differs from
+        that of every neighbour listed before it."""
+        g = self.graph
+        counts = np.zeros((self.size, g.n), dtype=np.int16)
+        for v in range(g.n):
+            nbrs = g.adjacency[v]
+            for j, u in enumerate(nbrs):
+                new = np.ones(self.size, dtype=bool)
+                for w in nbrs[:j]:
+                    new &= self.matrix[:, u] != self.matrix[:, w]
+                counts[:, v] += new
+        return counts
+
+    @cached_property
     def frozen_mask(self) -> np.ndarray:
         """Per state: does every vertex see all k-1 other colours?"""
-        g, k = self.graph, self.k
-        frozen = np.ones(self.size, dtype=bool)
-        for v in range(g.n):
-            distinct = np.zeros(self.size, dtype=np.int16)
-            for colour in range(1, k + 1):
-                seen = np.zeros(self.size, dtype=bool)
-                for u in g.adjacency[v]:
-                    seen |= self.matrix[:, u] == colour
-                distinct += seen
-            frozen &= distinct == k - 1
-        return frozen
+        return (self._distinct_neighbour_colours == self.k - 1).all(axis=1)
 
     @cached_property
     def locked_mask(self) -> np.ndarray:
         """(states, n) matrix: vertex sees max_degree distinct neighbour colours."""
-        g = self.graph
-        delta = g.max_degree
-        locked = np.zeros((self.size, g.n), dtype=bool)
-        for v in range(g.n):
-            distinct = np.zeros(self.size, dtype=np.int16)
-            for colour in range(1, self.k + 1):
-                seen = np.zeros(self.size, dtype=bool)
-                for u in g.adjacency[v]:
-                    seen |= self.matrix[:, u] == colour
-                distinct += seen
-            locked[:, v] = distinct == delta
-        return locked
+        return self._distinct_neighbour_colours == self.graph.max_degree
 
     @cached_property
     def reduced_mask(self) -> np.ndarray:
@@ -206,54 +211,87 @@ class ReconfigSpace:
             return np.zeros(0, dtype=np.int64)
         return np.bincount(labels, minlength=count)
 
-    def _component_diameter(self, members: np.ndarray, chunk: int = 64) -> int:
-        if members.size <= 1:
-            return 0
-        best = 0.0
-        for start in range(0, members.size, chunk):
-            rows = dijkstra(
-                self._csgraph,
-                directed=False,
-                indices=members[start : start + chunk],
-                unweighted=True,
-            )
-            best = max(best, float(rows[:, members].max()))
-        return int(best)
+    @cached_property
+    def canonical_index(self) -> np.ndarray:
+        """Per state: the index of its colour-canonical form, the state with
+        its colours renamed 1, 2, ... in order of first occurrence along the
+        vertex order."""
+        size, n = self.matrix.shape
+        canon = np.zeros_like(self.matrix)
+        used = np.zeros(size, dtype=np.int64)
+        code = np.zeros(size, dtype=np.int64)
+        for v in range(n):
+            col = self.matrix[:, v]
+            label = np.zeros(size, dtype=np.int64)
+            for w in range(v):  # same-coloured earlier vertices share a label
+                label = np.where(self.matrix[:, w] == col, canon[:, w], label)
+            fresh = label == 0
+            used += fresh
+            label[fresh] = used[fresh]
+            canon[:, v] = label
+            code += (label - 1) * self.radix[v]
+        pos = np.searchsorted(self.codes, code)
+        _require_enumerated(self.codes, pos, code, "a colour-canonical form")
+        return pos
 
-    def summary(self, distance_index: bool = False) -> "ReconfigGraphSummary":
+    @cached_property
+    def eccentricities(self) -> np.ndarray:
+        """Per state: its largest distance to a state of its own component.
+
+        Colour renamings preserve eccentricity (see the module docstring), so
+        only the distinct canonical states of components with two or more
+        states are searched from, ``_BFS_CHUNK`` sources per BFS call.
+        """
+        _, labels = self.component_labels
+        canon = self.canonical_index
+        sources = np.unique(canon)
+        sources = sources[self.component_sizes()[labels[sources]] >= 2]
+        ecc = np.zeros(self.size, dtype=np.int64)
+        for start in range(0, sources.size, _BFS_CHUNK):
+            chunk = sources[start : start + _BFS_CHUNK]
+            rows = dijkstra(self._csgraph, directed=False, indices=chunk, unweighted=True)
+            rows[np.isinf(rows)] = 0
+            ecc[chunk] = rows.max(axis=1)
+        return ecc[canon]
+
+    @cached_property
+    def component_diameters(self) -> np.ndarray:
+        """Per component label: the largest eccentricity of its states."""
+        count, labels = self.component_labels
+        diameters = np.zeros(count, dtype=np.int64)
+        np.maximum.at(diameters, labels, self.eccentricities)
+        return diameters
+
+    def summary(self) -> "ReconfigGraphSummary":
         """Component structure with exact diameters.
 
-        Diameter needs a BFS from every state of a component, so this is
-        quadratic in component size; meant for desk-scale instances.
+        Components are listed in order of their least state.  Diameters cost
+        one BFS per colour-canonical state of a non-trivial component (see
+        :attr:`eccentricities`), not one per state.
         """
-        count, labels = self.component_labels
+        _, labels = self.component_labels
+        sizes = self.component_sizes()
+        diameters = self.component_diameters
+        _, first_state = np.unique(labels, return_index=True)
+        components = tuple(
+            (int(sizes[lab]), int(diameters[lab])) for lab in np.argsort(first_state)
+        )
         frozen = self.frozen_mask
-        components: list[tuple[int, int]] = []
-        index: dict[tuple[int, int], int] | None = {} if distance_index else None
-        if count:
-            sizes = np.bincount(labels, minlength=count)
-            _, first_state = np.unique(labels, return_index=True)
-            by_first = sorted(range(count), key=lambda lab: int(first_state[lab]))
-            for lab in by_first:
-                members = np.nonzero(labels == lab)[0]
-                components.append((int(sizes[lab]), self._component_diameter(members)))
-                if index is not None:
-                    for offset, i in enumerate(members):
-                        row = self.distances_from([int(i)])
-                        for jj in members[offset + 1 :]:
-                            index[(int(i), int(jj))] = int(row[jj])
-        isolated_non_frozen = 0
-        if count:
-            sizes = np.bincount(labels, minlength=count)
-            single = sizes[labels] == 1
-            isolated_non_frozen = int((single & ~frozen).sum())
         return ReconfigGraphSummary(
             total_colourings=self.size,
-            components=tuple(components),
+            components=components,
             frozen_count=int(frozen.sum()),
-            isolated_non_frozen=isolated_non_frozen,
-            distance_index=index,
+            isolated_non_frozen=int(((sizes[labels] == 1) & ~frozen).sum()),
         )
+
+
+def _require_enumerated(
+    codes: np.ndarray, pos: np.ndarray, target: np.ndarray, what: str
+) -> None:
+    """Raise unless ``codes[pos] == target`` everywhere: every state that
+    ``what`` produces must be an enumerated state."""
+    if pos.size and not np.array_equal(codes[np.minimum(pos, codes.size - 1)], target):
+        raise StateSpaceInvariantError(f"{what} left the enumerated states")
 
 
 @dataclass(frozen=True)
@@ -265,7 +303,6 @@ class ReconfigGraphSummary:
     components: tuple[tuple[int, int], ...]
     frozen_count: int
     isolated_non_frozen: int
-    distance_index: dict | None = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -306,12 +343,24 @@ def oracle_distance(
 
 
 def oracle_path(
-    g: Graph, k: int, a: Colouring, b: Colouring, limit: int = DEFAULT_STATE_LIMIT
+    g: Graph,
+    k: int,
+    a: Colouring,
+    b: Colouring,
+    limit: int = DEFAULT_STATE_LIMIT,
+    space: ReconfigSpace | None = None,
 ) -> RecolouringSequence | None:
-    """A shortest recolouring sequence from ``a`` to ``b``, None if unreachable."""
+    """A shortest recolouring sequence from ``a`` to ``b``, None if unreachable.
+
+    ``space`` is the already-built state space of ``(g, k)``, if the caller
+    has one; otherwise it is enumerated here under ``limit``.
+    """
     require_proper(g, a)
     require_proper(g, b)
-    space = ReconfigSpace(g, k, limit)
+    if space is None:
+        space = ReconfigSpace(g, k, limit)
+    elif space.graph != g or space.k != k:
+        raise ValueError("state space was built for another graph or palette")
     ia, ib = space.index_of(a), space.index_of(b)
     dist, pred = dijkstra(
         space._csgraph,
@@ -329,7 +378,10 @@ def oracle_path(
     steps = []
     for here, there in zip(chain, chain[1:]):
         diff = np.nonzero(space.matrix[here] != space.matrix[there])[0]
-        assert diff.size == 1
+        if diff.size != 1:
+            raise StateSpaceInvariantError(
+                f"BFS step {here} -> {there} recolours {diff.size} vertices"
+            )
         v = int(diff[0])
         steps.append((v, int(space.matrix[there][v])))
     return RecolouringSequence(tuple(steps))
@@ -440,7 +492,7 @@ def verify_theorem_main(
     except StateSpaceLimitError as exc:
         return _skip(check, str(exc))
     count, labels = space.component_labels
-    sizes = np.bincount(labels, minlength=count) if count else np.zeros(0, dtype=int)
+    sizes = space.component_sizes()
     frozen = space.frozen_mask
     isolated = sizes[labels] == 1 if count else np.zeros(0, dtype=bool)
     stats = {
@@ -465,8 +517,7 @@ def verify_theorem_main(
         return CheckReport(check, "fail", "more than one non-trivial component", stats)
     big = np.nonzero(sizes >= 2)[0]
     if big.size == 1 and sizes[big[0]] <= diameter_state_cap:
-        members = np.nonzero(labels == big[0])[0]
-        diameter = space._component_diameter(members)
+        diameter = int(space.component_diameters[big[0]])
         stats["component_diameter"] = diameter
         stats["diameter_over_n2"] = float(diameter / (g.n * g.n))
     return CheckReport(check, "pass", None, stats)
@@ -537,7 +588,10 @@ def verify_lemma_first(g: Graph, limit: int = DEFAULT_STATE_LIMIT) -> CheckRepor
         # endvertices of all-locked paths: top vertices with another top
         # vertex reachable through locked vertices only
         for u in tops:
-            assert locked[u], "reduced form keeps top-coloured vertices locked"
+            if not locked[u]:
+                raise StateSpaceInvariantError(
+                    f"reduced-form state {int(state)} has unlocked top vertex {u}"
+                )
             stack, seen = [u], {u}
             partner = False
             while stack and not partner:

@@ -11,12 +11,14 @@ from recolour.colouring import (
     sequence_to_text,
     RecolouringSequence,
 )
+from recolour.explorer import ReconfigSpace
 from recolour.graph import (
     complete_graph,
     complete_graph_minus_edge,
     cycle_graph,
     format_graph,
     path_graph,
+    star_graph,
 )
 
 
@@ -81,6 +83,28 @@ def test_path_oracle_fallback(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["valid"] is True and payload["steps"] >= 1
+
+
+def test_path_oracle_route_enumerates_once(tmp_path, capsys, monkeypatch):
+    # K_{1,3} at k = 3 has max degree above the palette: only the oracle decides
+    built = []
+    enumerate_space = ReconfigSpace.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        enumerate_space(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReconfigSpace, "__init__", counting)
+    code = main([
+        "path",
+        "--graph", write(tmp_path, "g.txt", format_graph(star_graph(3))),
+        "--colouring-a", write(tmp_path, "a.txt", colouring_to_text(Colouring(3, (1, 2, 2, 2)))),
+        "--colouring-b", write(tmp_path, "b.txt", colouring_to_text(Colouring(3, (1, 3, 2, 3)))),
+        "--format", "json",
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 2
+    assert len(built) == 1
 
 
 def test_path_malformed_graph(tmp_path):

@@ -1,11 +1,16 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
-from recolour.colouring import Colouring, apply_sequence, is_frozen
+import recolour
+from recolour.colouring import Colouring, apply_sequence, is_frozen, vertex_state
 from recolour.corpus import connected_graphs, random_proper_colouring
 from recolour.engine import find_path_non_regular
 from recolour.errors import StateSpaceLimitError
@@ -20,7 +25,14 @@ from recolour.explorer import (
     verify_theorem_delta_plus_one,
     verify_theorem_main,
 )
-from recolour.graph import Graph, complete_graph, cycle_graph, path_graph
+from recolour.graph import (
+    Graph,
+    complete_graph,
+    cube_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+)
 
 from conftest import random_graph
 
@@ -89,6 +101,9 @@ def test_oracle_path_matches_distance(k4_minus_edge):
     path = oracle_path(g, 4, a, b)
     assert path is not None and len(path) == d
     assert apply_sequence(g, a, path).colours == b.colours
+    assert oracle_path(g, 4, a, b, space=ReconfigSpace(g, 4)) == path
+    with pytest.raises(ValueError):
+        oracle_path(g, 4, a, b, space=ReconfigSpace(g, 5))
 
 
 def test_frozen_mask_matches_predicate(c6):
@@ -225,8 +240,126 @@ def test_summary_json_field_names(k4):
     assert payload["components"][0] == {"size": 1, "diameter": 0}
 
 
-def test_distance_index(p3):
-    summary = ReconfigSpace(p3, 3).summary(distance_index=True)
-    assert summary.distance_index
-    for (i, j), d in summary.distance_index.items():
-        assert i < j and d >= 1
+def test_pairwise_distances(p3):
+    space = ReconfigSpace(p3, 3)
+    _, labels = space.component_labels
+    rows = [space.distances_from([i]) for i in range(space.size)]
+    pairs = 0
+    for i in range(space.size):
+        for j in range(i + 1, space.size):
+            if labels[i] == labels[j]:
+                assert rows[i][j] == rows[j][i] >= 1
+                pairs += 1
+    assert pairs
+
+
+def test_locked_mask_matches_definition(cube, k4_minus_edge, petersen):
+    rng = random.Random(5)
+    for g in (cube, k4_minus_edge, petersen):
+        space = ReconfigSpace(g, g.max_degree + 1)
+        for i in rng.sample(range(space.size), 40):
+            c = space.colouring_at(i)
+            expected = [vertex_state(g, c, v).locked for v in range(g.n)]
+            assert space.locked_mask[i].tolist() == expected
+
+
+# -- exact diameters from colour-canonical states ---------------------------
+
+
+def _component_diameter(space, members, chunk=64):
+    """Reference: a BFS from every member of the component (all pairs)."""
+    if members.size <= 1:
+        return 0
+    best = 0.0
+    for start in range(0, members.size, chunk):
+        rows = dijkstra(
+            space._csgraph, directed=False, indices=members[start : start + chunk],
+            unweighted=True,
+        )
+        best = max(best, float(rows[:, members].max()))
+    return int(best)
+
+
+def _diameter_spaces(state_cap=1_000):
+    """R_{D+1} and R_{D+2} of every corpus graph on up to 7 vertices with at
+    most ``state_cap`` proper colourings; at n = 7 only k**n <= 100,000 is
+    enumerated, which keeps the scan for small spaces cheap."""
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for k in (g.max_degree + 1, g.max_degree + 2):
+                try:
+                    space = ReconfigSpace(g, k, limit=100_000 if n == 7 else 2_000_000)
+                except StateSpaceLimitError:
+                    continue
+                if space.size <= state_cap:
+                    yield space
+
+
+def test_diameters_match_all_pairs_bfs():
+    components = 0
+    for space in _diameter_spaces():
+        count, labels = space.component_labels
+        for lab in range(count):
+            members = np.nonzero(labels == lab)[0]
+            assert space.component_diameters[lab] == _component_diameter(space, members)
+            components += 1
+    assert components > 900
+
+
+def test_canonical_index(cube, c6, k4_minus_edge):
+    rng = random.Random(3)
+    for g, k in ((cube, 4), (c6, 3), (c6, 4), (k4_minus_edge, 5)):
+        space = ReconfigSpace(g, k)
+        canon = space.canonical_index
+        assert np.array_equal(canon[canon], canon)
+        for i in rng.sample(range(space.size), 30):
+            rename: dict[int, int] = {}
+            for colour in space.matrix[i]:
+                rename.setdefault(int(colour), len(rename) + 1)
+            expected = [rename[int(colour)] for colour in space.matrix[i]]
+            assert space.matrix[canon[i]].tolist() == expected
+
+
+def test_eccentricity_is_constant_on_colour_orbits(cube, c6, k4_minus_edge):
+    rng = random.Random(4)
+    for g, k in ((cube, 4), (c6, 3), (k4_minus_edge, 5)):
+        space = ReconfigSpace(g, k)
+        ecc = space.eccentricities
+        for i in rng.sample(range(space.size), 20):
+            dist = space.distances_from([i])
+            assert ecc[i] == dist[np.isfinite(dist)].max()
+            perm = list(range(1, k + 1))
+            rng.shuffle(perm)
+            image = Colouring(k, tuple(perm[c - 1] for c in space.colouring_at(i).colours))
+            assert ecc[space.index_of(image)] == ecc[i]
+
+
+def test_named_diameters():
+    assert build_reconfig_graph(petersen_graph(), 4).components == ((12960, 14),)
+    assert build_reconfig_graph(cube_graph(), 5).components == ((29660, 12),)
+
+
+def test_invariant_guards_hold_under_optimize():
+    """Deleting one state from a built space must trip the guards of both
+    ``canonical_index`` (the least state is canonical) and ``moves`` (the
+    largest state is reached by a move), with asserts compiled out."""
+    src = Path(recolour.__file__).resolve().parents[1]
+    script = (
+        "import numpy as np\n"
+        "from recolour.errors import StateSpaceInvariantError\n"
+        "from recolour.explorer import ReconfigSpace\n"
+        "from recolour.graph import path_graph\n"
+        "for drop, member in ((0, 'canonical_index'), (11, 'moves')):\n"
+        "    space = ReconfigSpace(path_graph(3), 3)\n"
+        "    keep = np.arange(space.size) != drop\n"
+        "    space.matrix, space.codes = space.matrix[keep], space.codes[keep]\n"
+        "    try:\n"
+        "        getattr(space, member)\n"
+        "    except StateSpaceInvariantError:\n"
+        "        print('rejected', member)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, cwd=src, check=True,
+    )
+    assert out.stdout.split("\n")[:2] == ["rejected canonical_index", "rejected moves"]
