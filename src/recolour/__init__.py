@@ -19,16 +19,13 @@ Library layout:
 
 from .colouring import (
     Colouring,
-    PathClass,
     RecolouringSequence,
     VertexState,
     apply_sequence,
-    classify_path,
     colouring_from_text,
     colouring_to_text,
     is_frozen,
     is_proper,
-    is_reduced_form,
     sequence_from_text,
     sequence_to_text,
     vertex_state,
@@ -36,8 +33,6 @@ from .colouring import (
 from .classifier import (
     FrozenCensus,
     PathDecision,
-    TypeReport,
-    classify_instance,
     decide_k_colour_path,
     frozen_census,
 )
@@ -46,7 +41,6 @@ from .degeneracy import (
     DegeneratePartition,
     augment_to_maximal_independent,
     brute_force_degeneracy,
-    check_non_regular_degeneracy,
     degeneracy_ordering,
     degenerate_partition,
 )
@@ -66,8 +60,6 @@ from .explorer import (
     CheckReport,
     ReconfigGraphSummary,
     ReconfigSpace,
-    build_reconfig_graph,
-    enumerate_colourings,
     oracle_distance,
     oracle_path,
     verify_lemma_cubic2,

@@ -15,9 +15,7 @@ maximum degree D and fixed palette k:
 * anything else is delegated to the exhaustive oracle when the state space
   fits the limit, and reported as inconclusive otherwise.
 
-Also here: frozen-colouring censuses with analytic shortcuts, and the
-empirical structure typing of a reconfiguration graph (connected / one big
-component / several components).
+Also here: frozen-colouring censuses with analytic shortcuts.
 """
 
 from __future__ import annotations
@@ -69,7 +67,8 @@ def cycle_orientation(g: Graph, comp: tuple[int, ...]) -> list[int]:
     order = [start, min(g.adjacency[start])]
     while True:
         nxt = [u for u in g.adjacency[order[-1]] if u != order[-2]]
-        assert len(nxt) == 1
+        if len(nxt) != 1:
+            raise AssertionError(f"component {comp} is not a cycle")
         if nxt[0] == start:
             return order
         order.append(nxt[0])
@@ -80,7 +79,8 @@ def winding_sum(order: list[int], c: Colouring) -> int:
     total = 0
     for here, there in zip(order, order[1:] + order[:1]):
         diff = (c.colours[there] - c.colours[here]) % 3
-        assert diff in (1, 2), "cycle colouring must be proper"
+        if diff == 0:
+            raise AssertionError("cycle colouring must be proper")
         total += 1 if diff == 1 else -1
     return total
 
@@ -205,52 +205,3 @@ def frozen_census(g: Graph, k: int, limit: int = DEFAULT_STATE_LIMIT) -> FrozenC
         space.colouring_at(int(i)) for i in np.nonzero(frozen)[0][:10]
     )
     return FrozenCensus(count, witnesses, "enumeration")
-
-
-@dataclass(frozen=True)
-class TypeReport:
-    """Empirical structure class of one reconfiguration graph.
-
-    Type 1: connected.  Type 2: at most one component that is not an
-    isolated state.  Type 3: several non-trivial components, every diameter
-    finite.  Superpolynomial-diameter behaviour is not decidable from one
-    instance, so no type-4 claim is ever made.
-    """
-
-    graph: str
-    k: int
-    empirical_type: int | None
-    evidence: dict = field(default_factory=dict, compare=False)
-    reason: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "k": self.k,
-            "empiricalType": self.empirical_type,
-            "evidence": self.evidence,
-            "reason": self.reason,
-        }
-
-
-def classify_instance(
-    g: Graph, k: int, limit: int = DEFAULT_STATE_LIMIT, label: str | None = None
-) -> TypeReport:
-    """Empirically type the reconfiguration graph of one instance."""
-    name = label if label is not None else f"n{g.n}-m{g.m}"
-    try:
-        space = ReconfigSpace(g, k, limit)
-    except StateSpaceLimitError as exc:
-        return TypeReport(name, k, None, {}, str(exc))
-    if space.size == 0:
-        return TypeReport(name, k, None, {}, "graph has no proper k-colourings")
-    summary = space.summary()
-    evidence = summary.to_json_dict()
-    non_trivial = sum(1 for size, _ in summary.components if size >= 2)
-    if len(summary.components) == 1:
-        empirical = 1
-    elif non_trivial <= 1:
-        empirical = 2
-    else:
-        empirical = 3
-    return TypeReport(name, k, empirical, evidence)

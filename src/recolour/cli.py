@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .classifier import decide_k_colour_path, frozen_census
@@ -30,7 +29,7 @@ from .colouring import (
     sequence_from_text,
     sequence_to_text,
 )
-from .corpus import corpus, random_proper_colouring
+from .corpus import corpus
 from .engine import find_path_non_regular
 from .errors import (
     ImproperIntermediateError,
@@ -41,7 +40,6 @@ from .errors import (
 from .explorer import (
     DEFAULT_STATE_LIMIT,
     ReconfigSpace,
-    build_reconfig_graph,
     oracle_path,
     verify_lemma_cubic2,
     verify_lemma_first,
@@ -56,25 +54,6 @@ EXIT_NEGATIVE = 2
 EXIT_INCONCLUSIVE = 3
 
 EXHAUSTIVE_WARN_N = 10
-
-
-@dataclass
-class RunConfig:
-    command: str
-    graph: Path | None = None
-    colouring_a: Path | None = None
-    colouring_b: Path | None = None
-    sequence: Path | None = None
-    k: int | None = None
-    limit: int = DEFAULT_STATE_LIMIT
-    fmt: str = "text"
-    seed: int = 0
-    out: Path | None = None
-    max_n: int = 6
-    k_min: int = 3
-    k_max: int = 5
-    cache_dir: Path | None = None
-    pairs: int = 10
 
 
 def _default_limit() -> int:
@@ -144,28 +123,28 @@ def _read_colouring(path: Path, g: Graph) -> Colouring:
     return c
 
 
-def _emit_sequence(cfg: RunConfig, seq) -> None:
+def _emit_sequence(args: argparse.Namespace, seq) -> None:
     text = sequence_to_text(seq)
-    if cfg.out:
-        cfg.out.write_text(text)
-    if cfg.fmt == "json":
+    if args.out:
+        args.out.write_text(text)
+    if args.fmt == "json":
         print(json.dumps({"steps": len(seq), "sequence": [list(s) for s in seq],
                           "valid": True}))
     else:
         print(f"steps: {len(seq)}")
         print("valid: true")
-        if not cfg.out:
+        if not args.out:
             sys.stdout.write(text)
 
 
-def cmd_path(cfg: RunConfig) -> int:
-    g = _read_graph(cfg.graph)
-    a = _read_colouring(cfg.colouring_a, g)
-    b = _read_colouring(cfg.colouring_b, g)
+def cmd_path(args: argparse.Namespace) -> int:
+    g = _read_graph(args.graph)
+    a = _read_colouring(args.colouring_a, g)
+    b = _read_colouring(args.colouring_b, g)
     if a.k != b.k:
         print(f"palette mismatch: {a.k} vs {b.k}", file=sys.stderr)
         return EXIT_INPUT
-    k = cfg.k if cfg.k is not None else a.k
+    k = args.k if args.k is not None else a.k
     if k != a.k:
         print(f"--k {k} disagrees with colouring palette {a.k}", file=sys.stderr)
         return EXIT_INPUT
@@ -180,10 +159,10 @@ def cmd_path(cfg: RunConfig) -> int:
     )
     if constructive:
         seq = find_path_non_regular(g, a, b)  # replayed and checked inside
-        _emit_sequence(cfg, seq)
+        _emit_sequence(args, seq)
         return EXIT_OK
 
-    decision = decide_k_colour_path(g, k, a, b, cfg.limit)
+    decision = decide_k_colour_path(g, k, a, b, args.limit)
     if decision.answer is False:
         print(f"no path: {decision.reason}")
         return EXIT_NEGATIVE
@@ -191,21 +170,21 @@ def cmd_path(cfg: RunConfig) -> int:
         print(f"inconclusive: {decision.reason}")
         return EXIT_INCONCLUSIVE
     try:
-        seq = oracle_path(g, k, a, b, cfg.limit, space=decision.space)
+        seq = oracle_path(g, k, a, b, args.limit, space=decision.space)
     except StateSpaceLimitError as exc:
         print(f"path exists ({decision.reason}) but extraction exceeds the limit: {exc}")
         return EXIT_INCONCLUSIVE
     if seq is None:  # decision said yes; exhaustive search must agree
         print("internal disagreement between decision and oracle", file=sys.stderr)
         return EXIT_INPUT
-    _emit_sequence(cfg, seq)
+    _emit_sequence(args, seq)
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    g = _read_graph(cfg.graph)
-    start = _read_colouring(cfg.colouring_a, g)
-    seq = sequence_from_text(cfg.sequence.read_text())
+def cmd_validate(args: argparse.Namespace) -> int:
+    g = _read_graph(args.graph)
+    start = _read_colouring(args.colouring_a, g)
+    seq = sequence_from_text(args.sequence.read_text())
     try:
         final = apply_sequence(g, start, seq)
     except (ImproperIntermediateError, NoOpStepError) as exc:
@@ -214,7 +193,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"invalid: {exc}")
         return EXIT_NEGATIVE
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({"steps": len(seq), "valid": True,
                           "final": list(final.colours)}))
     else:
@@ -224,18 +203,18 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_explore(cfg: RunConfig) -> int:
-    g = _read_graph(cfg.graph)
+def cmd_explore(args: argparse.Namespace) -> int:
+    g = _read_graph(args.graph)
     if g.n > EXHAUSTIVE_WARN_N:
         print(f"warning: exhaustive enumeration on n={g.n} > {EXHAUSTIVE_WARN_N}",
               file=sys.stderr)
     try:
-        summary = build_reconfig_graph(g, cfg.k, cfg.limit)
+        summary = ReconfigSpace(g, args.k, args.limit).summary()
     except StateSpaceLimitError as exc:
         print(f"state space too large: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     payload = summary.to_json_dict()
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps(payload, indent=2)
     else:
         lines = [
@@ -247,42 +226,42 @@ def cmd_explore(cfg: RunConfig) -> int:
         ]
         text = "\n".join(lines)
     print(text)
-    if cfg.out:
-        cfg.out.write_text(json.dumps(payload, indent=2) + "\n")
+    if args.out:
+        args.out.write_text(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
-def _write_reproducer(cfg: RunConfig, g: Graph, details: dict, tag: str) -> Path:
-    target = cfg.out if cfg.out else Path.cwd() / f"reproducer-{tag}.txt"
+def _write_reproducer(args: argparse.Namespace, g: Graph, details: dict, tag: str) -> Path:
+    target = args.out if args.out else Path.cwd() / f"reproducer-{tag}.txt"
     body = format_graph(g) + json.dumps(details, indent=2) + "\n"
     target.write_text(body)
     return target
 
 
-def cmd_verify_corpus(cfg: RunConfig) -> int:
-    if not 4 <= cfg.max_n <= 8:
+def cmd_verify_corpus(args: argparse.Namespace) -> int:
+    if not 4 <= args.max_n <= 8:
         print("--max-n must be between 4 and 8", file=sys.stderr)
         return EXIT_INPUT
-    graphs = corpus(4, cfg.max_n, cfg.cache_dir)
-    rng = random.Random(cfg.seed)
+    graphs = corpus(4, args.max_n, args.cache_dir)
+    rng = random.Random(args.seed)
     failures: list[tuple[str, Graph, dict]] = []
     counts = {"pass": 0, "fail": 0, "skip": 0}
     rows = []
     for idx, g in enumerate(graphs):
         name = f"g{idx:04d}-n{g.n}-m{g.m}"
         reports = [
-            verify_theorem_delta_plus_one(g, cfg.limit),
-            verify_theorem_main(g, cfg.limit),
-            verify_lemma_cubic2(g, cfg.limit),
-            verify_lemma_first(g, cfg.limit),
+            verify_theorem_delta_plus_one(g, args.limit),
+            verify_theorem_main(g, args.limit),
+            verify_lemma_cubic2(g, args.limit),
+            verify_lemma_first(g, args.limit),
         ]
         for report in reports:
             counts[report.status] += 1
             if report.status == "fail":
                 failures.append((name, g, report.to_json_dict()))
             rows.append((name, report))
-        for k in range(cfg.k_min, cfg.k_max + 1):
-            ok, detail = _decision_cross_check(g, k, cfg, rng)
+        for k in range(args.k_min, args.k_max + 1):
+            ok, detail = _decision_cross_check(g, k, args, rng)
             if ok is None:
                 counts["skip"] += 1
             elif ok:
@@ -291,9 +270,9 @@ def cmd_verify_corpus(cfg: RunConfig) -> int:
                 counts["fail"] += 1
                 failures.append((name, g, detail))
     for name, g, detail in failures:
-        path = _write_reproducer(cfg, g, detail, name)
+        path = _write_reproducer(args, g, detail, name)
         print(f"FAIL {name}: reproducer written to {path}")
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({"graphs": len(graphs), **counts}))
     else:
         print(
@@ -303,21 +282,21 @@ def cmd_verify_corpus(cfg: RunConfig) -> int:
     return EXIT_INPUT if failures else EXIT_OK
 
 
-def _decision_cross_check(g: Graph, k: int, cfg: RunConfig, rng: random.Random):
+def _decision_cross_check(g: Graph, k: int, args: argparse.Namespace, rng: random.Random):
     """Sampled agreement between the analytic decision and the oracle."""
     try:
-        space = ReconfigSpace(g, k, cfg.limit)
+        space = ReconfigSpace(g, k, args.limit)
     except StateSpaceLimitError:
         return None, {}
     if space.size == 0:
         return True, {}
     _, labels = space.component_labels
-    for _ in range(cfg.pairs):
+    for _ in range(args.pairs):
         ia = rng.randrange(space.size)
         ib = rng.randrange(space.size)
         a = space.colouring_at(ia)
         b = space.colouring_at(ib)
-        decision = decide_k_colour_path(g, k, a, b, cfg.limit)
+        decision = decide_k_colour_path(g, k, a, b, args.limit)
         truth = bool(labels[ia] == labels[ib])
         if decision.answer is None or decision.answer != truth:
             return False, {
@@ -328,7 +307,7 @@ def _decision_cross_check(g: Graph, k: int, cfg: RunConfig, rng: random.Random):
                 "decision": decision.to_json_dict(),
                 "oracle": truth,
             }
-    census = frozen_census(g, k, cfg.limit)
+    census = frozen_census(g, k, args.limit)
     truth_count = int(space.frozen_mask.sum())
     if census.count != truth_count:
         return False, {
@@ -343,23 +322,6 @@ def _decision_cross_check(g: Graph, k: int, cfg: RunConfig, rng: random.Random):
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        graph=getattr(args, "graph", None),
-        colouring_a=getattr(args, "colouring_a", None),
-        colouring_b=getattr(args, "colouring_b", None),
-        sequence=getattr(args, "sequence", None),
-        k=getattr(args, "k", None),
-        limit=args.limit,
-        fmt=args.fmt,
-        seed=getattr(args, "seed", 0),
-        out=args.out,
-        max_n=getattr(args, "max_n", 6),
-        k_min=getattr(args, "k_min", 3),
-        k_max=getattr(args, "k_max", 5),
-        cache_dir=getattr(args, "cache_dir", None),
-        pairs=getattr(args, "pairs", 10),
-    )
     handlers = {
         "path": cmd_path,
         "validate": cmd_validate,
@@ -367,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         "verify-corpus": cmd_verify_corpus,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except (RecolourError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,4 +1,4 @@
-"""Colourings, vertex-freedom predicates, path classes and recolouring sequences.
+"""Colourings, vertex-freedom predicates and recolouring sequences.
 
 Colours are the integers ``1..k``; a colouring is total.  Properness is always
 checked, never assumed.  With respect to a colouring of a graph with maximum
@@ -10,10 +10,10 @@ degree D:
   the vertex and its whole neighbourhood (those colours are the witness).
 
 A colouring is *frozen* when every vertex already sees all k-1 other colours
-on its neighbourhood, i.e. no single vertex can be recoloured at all.  A
-colouring with palette D+1 is in *reduced form* when every vertex carrying
-colour D+1 is locked and so are all its neighbours; two D+1-coloured vertices
-are then always at distance at least 3.
+on its neighbourhood, i.e. no single vertex can be recoloured at all.
+Reduced form, which builds on lockedness, is computed for every state of a
+reconfiguration graph at once by
+:attr:`recolour.explorer.ReconfigSpace.reduced_mask`.
 
 A recolouring sequence is an ordered list of single-vertex colour changes;
 applied to a start colouring every intermediate colouring must be proper and
@@ -23,7 +23,6 @@ every step must actually change a colour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterator
 
@@ -55,19 +54,8 @@ class Colouring:
     def n(self) -> int:
         return len(self.colours)
 
-    def of(self, v: int) -> int:
-        return self.colours[v]
-
-    def with_colour(self, v: int, colour: int) -> "Colouring":
-        cols = list(self.colours)
-        cols[v] = colour
-        return Colouring(self.k, tuple(cols))
-
     def uses(self, colour: int) -> bool:
         return colour in self.colours
-
-    def used_colours(self) -> set[int]:
-        return set(self.colours)
 
 
 def is_proper(g: Graph, c: Colouring) -> bool:
@@ -127,86 +115,6 @@ def is_frozen(g: Graph, c: Colouring) -> bool:
     return all(len(_neighbour_colours(g, c, v)) == c.k - 1 for v in range(g.n))
 
 
-def is_reduced_form(g: Graph, c: Colouring) -> bool:
-    """True iff every vertex coloured D+1 is locked along with its neighbours.
-
-    Palette must be exactly max_degree + 1.  When true, any two D+1-coloured
-    vertices are at distance >= 3; that consequence is asserted.
-    """
-    require_proper(g, c)
-    delta = g.max_degree
-    if c.k != delta + 1:
-        raise ValueError(f"reduced form needs palette {delta + 1}, got {c.k}")
-    top = [v for v in range(g.n) if c.colours[v] == delta + 1]
-    locked = [len(_neighbour_colours(g, c, v)) == delta for v in range(g.n)]
-    for v in top:
-        if not locked[v] or not all(locked[u] for u in g.adjacency[v]):
-            return False
-    for v in top:
-        assert not any(
-            u in top for nb in g.adjacency[v] for u in g.adjacency[nb] if u != v
-        ), "reduced form implies top-coloured vertices at distance >= 3"
-    return True
-
-
-class PathClass(Enum):
-    NONE = "none"
-    NEARLY_LOCKED = "nearly-locked"
-    FULLY_LOCKED = "fully-locked"
-    NICE = "nice"
-
-
-def classify_path(
-    g: Graph, c: Colouring, path: list[int], locked_scope: str = "path"
-) -> PathClass:
-    """Strongest class of ``path``: fully locked > nice > nearly locked > none.
-
-    A path is nearly locked when both endvertices are locked and carry colour
-    D+1; fully locked adds that every path vertex is locked; nice instead
-    requires at least one free vertex while the endvertices and their
-    neighbours are the only locked vertices on the path.  ``locked_scope``
-    picks the reading of "their neighbours": ``"path"`` admits only the path
-    neighbours of the endvertices, ``"graph"`` admits any path vertex adjacent
-    to an endvertex in the graph.
-    """
-    require_proper(g, c)
-    if locked_scope not in ("path", "graph"):
-        raise ValueError("locked_scope must be 'path' or 'graph'")
-    if not path:
-        raise ValueError("path must contain at least one vertex")
-    if len(set(path)) != len(path):
-        raise ValueError("path vertices must be distinct")
-    for u, v in zip(path, path[1:]):
-        if not g.has_edge(u, v):
-            raise ValueError(f"path is not connected in the graph at ({u}, {v})")
-
-    delta = g.max_degree
-    if c.k != delta + 1:
-        raise ValueError(f"path classes need palette {delta + 1}, got {c.k}")
-    locked = {v: len(_neighbour_colours(g, c, v)) == delta for v in path}
-    ends = (path[0], path[-1])
-    nearly = all(locked[e] and c.colours[e] == delta + 1 for e in ends)
-    if not nearly:
-        return PathClass.NONE
-    if all(locked[v] for v in path):
-        return PathClass.FULLY_LOCKED
-
-    if locked_scope == "path":
-        allowed = set(ends)
-        if len(path) >= 2:
-            allowed.update((path[1], path[-2]))
-    else:
-        allowed = {
-            v
-            for v in path
-            if v in ends or any(g.has_edge(v, e) for e in ends)
-        }
-    nice = any(not locked[v] for v in path) and all(
-        v in allowed for v in path if locked[v]
-    )
-    return PathClass.NICE if nice else PathClass.NEARLY_LOCKED
-
-
 @dataclass(frozen=True)
 class RecolouringSequence:
     """Ordered ``(vertex, new_colour)`` steps; a walk in the space of colourings."""
@@ -218,9 +126,6 @@ class RecolouringSequence:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.steps)
-
-    def __add__(self, other: "RecolouringSequence") -> "RecolouringSequence":
-        return RecolouringSequence(self.steps + other.steps)
 
     @cached_property
     def recolour_counts(self) -> dict[int, int]:

@@ -31,9 +31,6 @@ from itertools import combinations
 
 from .errors import (
     BudgetSumMismatchError,
-    DegeneracyTooHighError,
-    GraphDisconnectedError,
-    GraphIsRegularError,
     InvalidPartitionError,
     NotKDegenerateError,
     PartNotIndependentError,
@@ -43,10 +40,15 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class DegeneracyOrdering:
-    """Vertex permutation plus, per position, the count of earlier neighbours."""
+    """Vertex permutation plus, per position, the count of earlier neighbours.
+
+    ``latest_neighbour`` gives, per vertex, its neighbour latest in ``order``
+    (None for an isolated vertex): the hop of a top-colour elimination walk.
+    """
 
     order: tuple[int, ...]
     back_degree: tuple[int, ...]
+    latest_neighbour: tuple[int | None, ...] = field(default=(), compare=False)
 
     @property
     def degeneracy(self) -> int:
@@ -69,7 +71,8 @@ def smallest_last_ordering(g: Graph) -> DegeneracyOrdering:
     degree and is skipped when popped.  So the first current entry popped is
     the alive vertex with the least (degree, index).  When v is removed, its
     alive neighbours are exactly those placed before it, so deg[v] is its
-    back-degree.
+    back-degree.  Vertices leave in decreasing position, so the first
+    neighbour of w to leave is w's latest neighbour.
     """
     deg = list(g.degree)
     heap = [(d, v) for v, d in enumerate(deg)]
@@ -77,6 +80,7 @@ def smallest_last_ordering(g: Graph) -> DegeneracyOrdering:
     removed = [False] * g.n
     order = [0] * g.n
     back = [0] * g.n
+    latest: list[int | None] = [None] * g.n
     for i in range(g.n - 1, -1, -1):
         d, v = heappop(heap)
         while d != deg[v]:
@@ -85,10 +89,12 @@ def smallest_last_ordering(g: Graph) -> DegeneracyOrdering:
         back[i] = d
         removed[v] = True
         for w in g.adjacency[v]:
+            if latest[w] is None:
+                latest[w] = v
             if not removed[w]:
                 deg[w] -= 1
                 heappush(heap, (deg[w], w))
-    return DegeneracyOrdering(tuple(order), tuple(back))
+    return DegeneracyOrdering(tuple(order), tuple(back), tuple(latest))
 
 
 def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
@@ -119,20 +125,6 @@ def brute_force_degeneracy(g: Graph) -> int:
     return best
 
 
-def check_non_regular_degeneracy(g: Graph) -> int:
-    """Degeneracy of a connected non-regular graph; always at most D-1."""
-    if not g.is_connected():
-        raise GraphDisconnectedError("degeneracy bound requires a connected graph")
-    if g.is_regular():
-        raise GraphIsRegularError("graph is regular")
-    d = degeneracy(g)
-    if d > g.max_degree - 1:
-        raise DegeneracyTooHighError(
-            f"connected non-regular graph has degeneracy {d} > max degree - 1"
-        )
-    return d
-
-
 @dataclass(frozen=True)
 class DegeneratePartition:
     """Partition of the vertices with per-part degeneracy budgets.
@@ -144,10 +136,6 @@ class DegeneratePartition:
     parts: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]
     witness: tuple[tuple[int, int, int], ...] = field(default=(), compare=False)
-
-    @property
-    def r(self) -> int:
-        return len(self.parts)
 
 
 def _validate_parts(g: Graph, parts, budgets, order) -> None:

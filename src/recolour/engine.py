@@ -45,6 +45,7 @@ from .colouring import (
     require_proper,
 )
 from .degeneracy import (
+    DegeneracyOrdering,
     augment_to_maximal_independent,
     degeneracy_ordering,
     degenerate_partition,
@@ -192,15 +193,13 @@ class _ColourUsage:
         return None
 
 
-def _build_plan(order, position, latest_nb, usage, cols, k) -> EliminationPlan | None:
-    h = None
-    for idx, v in enumerate(order):
-        if cols[v] == k:
-            h = idx
-            break
-    if h is None:
-        return None
-    w = order[h]
+def _walk(
+    ordering: DegeneracyOrdering, usage: _ColourUsage, cols: list[int], h: int
+) -> list[Step]:
+    """The elimination walk from position ``h``: (vertex, replacement colour)
+    pairs, to be applied from the last pair back."""
+    position = ordering.positions
+    w = ordering.order[h]
     pairs: list[Step] = []
     last_pos = -1
     while True:
@@ -211,16 +210,15 @@ def _build_plan(order, position, latest_nb, usage, cols, k) -> EliminationPlan |
         spare = usage.smallest_absent(w)
         if spare is not None:
             pairs.append((w, spare))
-            break
+            return pairs
         # all k colours on the closed neighbourhood forces degree k-1 with
         # all-distinct neighbour colours, so a later neighbour exists
-        nxt = latest_nb[w]
+        nxt = ordering.latest_neighbour[w]
         pairs.append((w, cols[nxt]))
         w = nxt
-    return EliminationPlan(h, tuple(pairs))
 
 
-def _elimination_setup(g: Graph, k: int):
+def _elimination_setup(g: Graph, k: int) -> DegeneracyOrdering:
     ordering = degeneracy_ordering(g)
     if ordering.degeneracy > k - 2:
         raise DegeneracyTooHighError(
@@ -228,46 +226,47 @@ def _elimination_setup(g: Graph, k: int):
         )
     if g.max_degree > k - 1:
         raise ValueError(f"palette {k} is too small for maximum degree {g.max_degree}")
-    position = ordering.positions
-    latest_nb = [
-        max(g.adjacency[v], key=position.__getitem__) if g.adjacency[v] else None
-        for v in range(g.n)
-    ]
-    return ordering, position, latest_nb
+    return ordering
 
 
 def elimination_plan(g: Graph, c: Colouring) -> EliminationPlan | None:
     """The next elimination round for ``c``, or None if the top colour is unused."""
     require_proper(g, c)
-    ordering, position, latest_nb = _elimination_setup(g, c.k)
+    ordering = _elimination_setup(g, c.k)
     cols = list(c.colours)
-    usage = _ColourUsage(g, cols, c.k)
-    return _build_plan(ordering.order, position, latest_nb, usage, cols, c.k)
+    for h, v in enumerate(ordering.order):
+        if cols[v] == c.k:
+            usage = _ColourUsage(g, cols, c.k)
+            return EliminationPlan(h, tuple(_walk(ordering, usage, cols, h)))
+    return None
 
 
 def _eliminate(g: Graph, cols: list[int], k: int) -> tuple[list[Step], list[int]]:
-    """Remove colour ``k`` from a proper colouring; returns (steps, final)."""
-    ordering, position, latest_nb = _elimination_setup(g, k)
+    """Remove colour ``k`` from a proper colouring; returns (steps, final).
+
+    One forward scan of the ordering finds every round's start.  A round
+    recolours only positions >= h, because the walk's positions strictly
+    increase.  Position h itself gets either a spare colour, which is not k
+    because its closed neighbourhood holds k, or a neighbour's colour, which
+    is not k in a proper colouring.  So no position before the cursor ever
+    holds k again.
+    """
+    ordering = _elimination_setup(g, k)
     cols = list(cols)
     usage = _ColourUsage(g, cols, k)
     steps: list[Step] = []
-    rounds = 0
-    prev_h = -1
-    while True:
-        plan = _build_plan(ordering.order, position, latest_nb, usage, cols, k)
-        if plan is None:
-            break
-        rounds += 1
-        if rounds > g.n or plan.h <= prev_h:
-            raise AssertionError("elimination did not make progress")
-        prev_h = plan.h
-        for v, colour in reversed(plan.pairs):
+    for h, start in enumerate(ordering.order):
+        if cols[start] != k:
+            continue
+        for v, colour in reversed(_walk(ordering, usage, cols, h)):
             for u in g.adjacency[v]:
                 if cols[u] == colour:
                     raise AssertionError("elimination step would be improper")
             usage.recolour(v, cols[v], colour)
             cols[v] = colour
             steps.append((v, colour))
+    if k in cols:
+        raise AssertionError("elimination did not remove the top colour")
     return steps, cols
 
 
@@ -287,17 +286,6 @@ def eliminate_top_colour(g: Graph, c: Colouring) -> tuple[RecolouringSequence, C
 # Paths between colourings that avoid the top colour
 
 
-def _reverse_raw(cols: list[int], steps: list[Step]) -> list[Step]:
-    """Reversal of ``steps`` as applied from ``cols``."""
-    cur = list(cols)
-    rev: list[Step] = []
-    for v, colour in steps:
-        rev.append((v, cur[v]))
-        cur[v] = colour
-    rev.reverse()
-    return rev
-
-
 def _flip_path_components(g: Graph, a: list[int], b: list[int]) -> list[Step]:
     """Palette-3 base case: disjoint paths, both inputs 2-coloured.
 
@@ -313,7 +301,8 @@ def _flip_path_components(g: Graph, a: list[int], b: list[int]) -> list[Step]:
             steps.append((comp[0], b[comp[0]]))
             continue
         ends = [v for v in comp if len(g.adjacency[v]) == 1]
-        assert len(ends) == 2, "palette-3 components must be paths"
+        if len(ends) != 2:
+            raise AssertionError("palette-3 components must be paths")
         path = [min(ends)]
         prev = None
         while True:
@@ -322,10 +311,10 @@ def _flip_path_components(g: Graph, a: list[int], b: list[int]) -> list[Step]:
                 break
             prev = path[-1]
             path.append(nxt[0])
-        assert len(path) == len(comp)
-        assert all(a[v] != b[v] for v in path), (
-            "distinct 2-colourings of a path differ everywhere"
-        )
+        if len(path) != len(comp):
+            raise AssertionError("palette-3 components must be paths")
+        if any(a[v] == b[v] for v in path):
+            raise AssertionError("distinct 2-colourings of a path differ everywhere")
         m = len(path)
         steps.append((path[0], 3))
         t = 0
@@ -349,8 +338,10 @@ def _path_with_scratch(g: Graph, a: list[int], b: list[int], k: int) -> list[Ste
     """
     if a == b:
         return []
-    assert g.max_degree <= k - 1
-    assert max(a, default=1) < k and max(b, default=1) < k
+    if g.max_degree > k - 1:
+        raise AssertionError(f"maximum degree {g.max_degree} does not fit palette {k}")
+    if max(a, default=1) >= k or max(b, default=1) >= k:
+        raise AssertionError(f"inputs must avoid colour {k}")
     if k <= 2:
         raise AssertionError("distinct inputs are impossible below palette 3")
     if k == 3:
@@ -375,7 +366,8 @@ def _path_with_scratch(g: Graph, a: list[int], b: list[int], k: int) -> list[Ste
     out = list(park_a)
     out += lift(elim_a)
     out += lift(mid)
-    out += lift(_reverse_raw(b_sub, elim_b))
+    back = reverse_sequence(Colouring(k - 1, tuple(b_sub)), RecolouringSequence(tuple(elim_b)))
+    out += lift(back.steps)
     out += [(v, b[v]) for v in reversed(s1)]
     return out
 
@@ -438,8 +430,8 @@ def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSe
     elim_a, low_a = _eliminate(g, list(a.colours), delta + 1)
     elim_b, low_b = _eliminate(g, list(b.colours), delta + 1)
     mid = _path_with_scratch(g, low_a, low_b, delta + 1)
-    back = _reverse_raw(list(b.colours), elim_b)
-    seq = RecolouringSequence(tuple(elim_a + mid + back))
+    back = reverse_sequence(b, RecolouringSequence(tuple(elim_b)))
+    seq = RecolouringSequence(tuple(elim_a + mid) + back.steps)
     final = apply_sequence(g, a, seq)
     if final.colours != b.colours:
         raise AssertionError("pipeline did not end at the target colouring")

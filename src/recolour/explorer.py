@@ -70,17 +70,18 @@ class ReconfigSpace:
 
     def _enumerate(self) -> np.ndarray:
         g, k = self.graph, self.k
-        m = np.zeros((1, 0), dtype=np.uint8)
+        dtype = np.min_scalar_type(k)  # the narrowest unsigned type holding 1..k
+        m = np.zeros((1, 0), dtype=dtype)
         for v in range(g.n):
             earlier = [u for u in g.adjacency[v] if u < v]
             reps = np.repeat(m, k, axis=0)
-            col = np.tile(np.arange(1, k + 1, dtype=np.uint8), m.shape[0])
+            col = np.tile(np.arange(1, k + 1, dtype=dtype), m.shape[0])
             keep = np.ones(len(col), dtype=bool)
             for u in earlier:
                 keep &= reps[:, u] != col
             m = np.concatenate([reps[keep], col[keep, None]], axis=1)
             if m.shape[0] == 0:
-                return np.zeros((0, g.n), dtype=np.uint8)
+                return np.zeros((0, g.n), dtype=dtype)
         return m
 
     @property
@@ -154,7 +155,9 @@ class ReconfigSpace:
 
     @cached_property
     def reduced_mask(self) -> np.ndarray:
-        """Per state: every top-coloured vertex locked along with its neighbours.
+        """Per state: is it in *reduced form*, every top-coloured vertex
+        locked along with its neighbours?  Two top-coloured vertices of a
+        reduced state are then at distance at least 3.
 
         Only meaningful for palette k = max_degree + 1.
         """
@@ -314,20 +317,6 @@ class ReconfigGraphSummary:
             "frozenCount": self.frozen_count,
             "isolatedNonFrozen": self.isolated_non_frozen,
         }
-
-
-def enumerate_colourings(
-    g: Graph, k: int, limit: int = DEFAULT_STATE_LIMIT
-) -> list[Colouring]:
-    """All proper k-colourings in lexicographic order of colour vectors."""
-    space = ReconfigSpace(g, k, limit)
-    return [space.colouring_at(i) for i in range(space.size)]
-
-
-def build_reconfig_graph(
-    g: Graph, k: int, limit: int = DEFAULT_STATE_LIMIT
-) -> ReconfigGraphSummary:
-    return ReconfigSpace(g, k, limit).summary()
 
 
 def oracle_distance(

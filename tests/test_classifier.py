@@ -10,7 +10,6 @@ from recolour.classifier import (
     REASON_INCONCLUSIVE,
     REASON_ORACLE,
     REASON_TRIVIAL_YES,
-    classify_instance,
     cycle_orientation,
     decide_k_colour_path,
     frozen_census,
@@ -200,17 +199,6 @@ def test_divisibility_frozen_search_up_to_9():
     assert checked >= 10
 
 
-def test_classify_trivial_regime_always_connected():
-    """Above the top palette the reconfiguration graph of every small
-    connected graph is a single component."""
-    from recolour.corpus import connected_graphs
-
-    for n in range(2, 6):
-        for g in connected_graphs(n):
-            report = classify_instance(g, g.max_degree + 2, limit=300_000)
-            assert report.empirical_type == 1
-
-
 def test_frozen_census_examples(c6, c5, p4):
     assert frozen_census(c6, 3).count == 6  # 3! orderings of the three classes
     assert frozen_census(c6, 3).method == "enumeration"
@@ -237,28 +225,8 @@ def test_frozen_census_witnesses(cube):
         assert all(w.colours[v] == w.colours[7 - v] for v in range(8))
 
 
-def test_classify_examples(p4, cube, c5):
-    assert classify_instance(p4, 4).empirical_type == 1
-    assert classify_instance(cube, 4).empirical_type == 2
-    assert classify_instance(c5, 3).empirical_type == 3
-
-
-def test_classify_infeasible(cube):
-    report = classify_instance(cube, 4, limit=10)
-    assert report.empirical_type is None
-    assert report.reason
-
-
-def test_classify_uncolourable(k4):
-    report = classify_instance(k4, 3)
-    assert report.empirical_type is None
-
-
-def test_json_shapes(c5, cube):
+def test_json_shapes(c5):
     same = Colouring(3, (1, 2, 3, 1, 2))
     decision = decide_k_colour_path(c5, 3, same, same)
     payload = decision.to_json_dict()
     assert payload["answer"] == "yes"
-    report = classify_instance(cube, 4)
-    payload = report.to_json_dict()
-    assert set(payload) == {"graph", "k", "empiricalType", "evidence", "reason"}

@@ -13,6 +13,7 @@ from recolour.colouring import (
 )
 from recolour.explorer import ReconfigSpace
 from recolour.graph import (
+    Graph,
     complete_graph,
     complete_graph_minus_edge,
     cycle_graph,
@@ -199,6 +200,17 @@ def test_explore_k4(tmp_path, capsys):
     assert payload["frozenCount"] == 24
     assert payload["isolatedNonFrozen"] == 0
     assert len(payload["components"]) == 24
+
+
+def test_explore_palette_above_255(tmp_path, capsys):
+    code = main([
+        "explore",
+        "--graph", write(tmp_path, "g.txt", format_graph(Graph(1, ()))),
+        "--k", "300",
+        "--format", "json",
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["totalColourings"] == 300
 
 
 def test_explore_limit(tmp_path):

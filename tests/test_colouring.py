@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 
 from recolour.colouring import (
     Colouring,
-    PathClass,
     RecolouringSequence,
     apply_sequence,
-    classify_path,
     colouring_from_text,
     colouring_to_text,
     is_frozen,
     is_proper,
-    is_reduced_form,
     sequence_from_text,
     sequence_to_text,
     vertex_state,
@@ -26,7 +23,7 @@ from recolour.errors import (
     NoOpStepError,
     SequenceParseError,
 )
-from recolour.graph import Graph
+from recolour.explorer import ReconfigSpace
 
 from conftest import random_graph
 
@@ -96,57 +93,22 @@ def test_frozen_on_non_regular_is_impossible(p4):
         assert not is_frozen(p4, c)
 
 
+def reduced(g, c):
+    """Reduced form of ``c``, read off the one implementation,
+    ``ReconfigSpace.reduced_mask``."""
+    space = ReconfigSpace(g, c.k)
+    return bool(space.reduced_mask[space.index_of(c)])
+
+
 def test_reduced_form(p4, c6):
-    assert is_reduced_form(p4, Colouring(3, (1, 2, 1, 2)))  # no top colour: vacuous
-    assert is_reduced_form(c6, FROZEN_C6)  # frozen: everything locked
-    assert not is_reduced_form(p4, Colouring(3, (1, 2, 3, 1)))  # free neighbour
+    assert reduced(p4, Colouring(3, (1, 2, 1, 2)))  # no top colour: vacuous
+    assert reduced(c6, FROZEN_C6)  # frozen: everything locked
+    assert not reduced(p4, Colouring(3, (1, 2, 3, 1)))  # free neighbour
 
 
 def test_reduced_form_needs_top_palette(p4):
     with pytest.raises(ValueError):
-        is_reduced_form(p4, Colouring(4, (1, 2, 1, 2)))
-
-
-def test_classify_path_none_free_ends(p4):
-    c = Colouring(3, (1, 2, 1, 2))
-    assert classify_path(p4, c, [0, 1, 2, 3]) is PathClass.NONE
-
-
-def test_classify_path_fully_locked(c6):
-    assert classify_path(c6, FROZEN_C6, [2, 3, 4, 5]) is PathClass.FULLY_LOCKED
-
-
-def test_classify_path_readings_can_differ():
-    # witness found by exhaustive search over the small corpus: vertex 4 is
-    # locked, lies on the path, and is a graph-neighbour but not a
-    # path-neighbour of the end 3
-    g = Graph.from_edges(
-        6, [(0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)]
-    )
-    c = Colouring(4, (3, 1, 2, 4, 3, 4))
-    assert is_proper(g, c) and g.max_degree == 3
-    path = [3, 2, 4, 1, 5]
-    assert vertex_state(g, c, 4).locked
-    assert not vertex_state(g, c, 2).locked
-    assert classify_path(g, c, path, locked_scope="path") is PathClass.NEARLY_LOCKED
-    assert classify_path(g, c, path, locked_scope="graph") is PathClass.NICE
-
-
-def test_classify_path_nice():
-    # witness found by exhaustive search: only the endvertices are locked,
-    # the three interior vertices are free
-    g = Graph.from_edges(
-        6, [(0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
-    )
-    c = Colouring(4, (1, 4, 4, 1, 3, 2))
-    path = [1, 5, 0, 4, 2]
-    assert classify_path(g, c, path, locked_scope="path") is PathClass.NICE
-    assert classify_path(g, c, path, locked_scope="graph") is PathClass.NICE
-
-
-def test_classify_path_rejects_disconnected(p4):
-    with pytest.raises(ValueError):
-        classify_path(p4, Colouring(3, (1, 2, 1, 2)), [0, 2])
+        reduced(p4, Colouring(4, (1, 2, 1, 2)))
 
 
 def test_apply_sequence_examples(p3):

@@ -16,15 +16,12 @@ from recolour.degeneracy import (
     _validate_parts,
     augment_to_maximal_independent,
     brute_force_degeneracy,
-    check_non_regular_degeneracy,
     degeneracy,
     degeneracy_ordering,
     degenerate_partition,
 )
 from recolour.errors import (
     BudgetSumMismatchError,
-    GraphDisconnectedError,
-    GraphIsRegularError,
     InvalidPartitionError,
     NotKDegenerateError,
     PartNotIndependentError,
@@ -121,6 +118,10 @@ def test_ordering_matches_reference_min_scan():
         ordering = degeneracy_ordering(g)
         assert ordering == reference_min_scan_ordering(g)
         assert all(ordering.order[ordering.positions[v]] == v for v in range(n))
+        assert ordering.latest_neighbour == tuple(
+            max(adj, key=ordering.positions.__getitem__) if adj else None
+            for adj in g.adjacency
+        )
 
 
 def test_ordering_is_built_once_per_graph(petersen):
@@ -150,20 +151,13 @@ def test_package_attribute_is_the_degeneracy_module():
     assert recolour.degeneracy.degeneracy is degeneracy
 
 
-def test_non_regular_check(p3, c6, k4_minus_edge):
-    assert check_non_regular_degeneracy(p3) == 1
-    assert check_non_regular_degeneracy(k4_minus_edge) == 2
-    with pytest.raises(GraphIsRegularError):
-        check_non_regular_degeneracy(c6)
-    with pytest.raises(GraphDisconnectedError):
-        check_non_regular_degeneracy(Graph.from_edges(4, [(0, 1), (2, 3)]))
-
-
 def test_degeneracy_never_exceeds_max_degree():
     rng = random.Random(5)
     for _ in range(30):
         g = random_graph(rng, rng.randrange(1, 8))
         assert degeneracy(g) <= g.max_degree
+        if g.is_connected() and not g.is_regular():
+            assert degeneracy(g) <= g.max_degree - 1
 
 
 def test_partition_k4(k4):

@@ -24,6 +24,7 @@ from recolour.engine import (
 from recolour.errors import (
     ComponentNotMaximalError,
     DegeneracyTooHighError,
+    GraphDisconnectedError,
     GraphIsRegularError,
     MaxDegreeTooSmallError,
     NotDeltaColouringError,
@@ -331,6 +332,12 @@ def test_find_path_rejects_regular(c6, k4):
         find_path_non_regular(c6, Colouring(3, (1, 2, 3, 1, 2, 3)), Colouring(3, (1, 2, 1, 2, 1, 2)))
     with pytest.raises(GraphIsRegularError):
         find_path_non_regular(k4, Colouring(4, (1, 2, 3, 4)), Colouring(4, (1, 2, 3, 4)))
+
+
+def test_find_path_rejects_disconnected():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(GraphDisconnectedError):
+        find_path_non_regular(g, Colouring(2, (1, 2, 1, 2)), Colouring(2, (2, 1, 2, 1)))
 
 
 def test_find_path_rejects_small_degree(p4):

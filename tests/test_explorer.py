@@ -16,8 +16,6 @@ from recolour.engine import find_path_non_regular
 from recolour.errors import StateSpaceLimitError
 from recolour.explorer import (
     ReconfigSpace,
-    build_reconfig_graph,
-    enumerate_colourings,
     oracle_distance,
     oracle_path,
     verify_lemma_cubic2,
@@ -38,24 +36,31 @@ from conftest import random_graph
 
 
 def test_enumeration_counts(p3, k4):
-    assert len(enumerate_colourings(p3, 3)) == 12  # 3 * 2 * 2
-    assert len(enumerate_colourings(k4, 4)) == 24  # 4!
-    assert len(enumerate_colourings(k4, 3)) == 0
+    assert ReconfigSpace(p3, 3).size == 12  # 3 * 2 * 2
+    assert ReconfigSpace(k4, 4).size == 24  # 4!
+    assert ReconfigSpace(k4, 3).size == 0
 
 
 def test_enumeration_is_lexicographic(p3):
-    cols = [c.colours for c in enumerate_colourings(p3, 3)]
+    space = ReconfigSpace(p3, 3)
+    cols = [space.colouring_at(i).colours for i in range(space.size)]
     assert cols == sorted(cols)
     assert cols[0] == (1, 2, 1)
+    # colours above 255 must not wrap around in the state matrix
+    space = ReconfigSpace(Graph(1, ()), 300)
+    assert [space.colouring_at(i).colours for i in range(space.size)] == [
+        (c,) for c in range(1, 301)
+    ]
+    assert (np.diff(space.codes) > 0).all()
 
 
 def test_enumeration_limit(k4):
     with pytest.raises(StateSpaceLimitError):
-        enumerate_colourings(k4, 4, limit=100)
+        ReconfigSpace(k4, 4, limit=100)
 
 
 def test_r4_k4_all_isolated(k4):
-    summary = build_reconfig_graph(k4, 4)
+    summary = ReconfigSpace(k4, 4).summary()
     assert summary.total_colourings == 24
     assert summary.frozen_count == 24
     assert summary.isolated_non_frozen == 0
@@ -63,14 +68,14 @@ def test_r4_k4_all_isolated(k4):
 
 
 def test_r3_c5_components(c5):
-    summary = build_reconfig_graph(c5, 3)
+    summary = ReconfigSpace(c5, 3).summary()
     big = [size for size, _ in summary.components if size >= 2]
     assert len(big) >= 2
     assert summary.frozen_count == 0
 
 
 def test_r3_k1():
-    summary = build_reconfig_graph(Graph(1, ()), 3)
+    summary = ReconfigSpace(Graph(1, ()), 3).summary()
     assert summary.total_colourings == 3
     assert summary.components == ((3, 1),)
 
@@ -161,6 +166,8 @@ def test_verify_theorem_main(k4, cube, k4_minus_edge, p4):
     r = verify_theorem_main(cube)
     assert r.status == "pass"
     assert r.stats["frozen"] == 24 and r.stats["big_components"] == 1
+    sizes = [size for size, _ in ReconfigSpace(cube, 4).summary().components]
+    assert sum(size >= 2 for size in sizes) == 1 and sizes.count(1) == 24
     r = verify_theorem_main(k4_minus_edge)
     assert r.status == "pass" and r.stats["frozen"] == 0
     assert r.stats["big_components"] == 1
@@ -222,7 +229,7 @@ def test_diameter_ratio_above_top_palette():
     for n in range(2, 5):
         for g in connected_graphs(n):
             k = g.max_degree + 2
-            summary = build_reconfig_graph(g, k, limit=50_000)
+            summary = ReconfigSpace(g, k, limit=50_000).summary()
             assert len(summary.components) == 1
             size, diameter = summary.components[0]
             worst = max(worst, diameter / (g.n * g.n))
@@ -230,7 +237,7 @@ def test_diameter_ratio_above_top_palette():
 
 
 def test_summary_json_field_names(k4):
-    payload = build_reconfig_graph(k4, 4).to_json_dict()
+    payload = ReconfigSpace(k4, 4).summary().to_json_dict()
     assert set(payload) == {
         "totalColourings",
         "components",
@@ -238,6 +245,23 @@ def test_summary_json_field_names(k4):
         "isolatedNonFrozen",
     }
     assert payload["components"][0] == {"size": 1, "diameter": 0}
+
+
+def test_reduced_states_keep_top_colours_apart():
+    """Two top-coloured vertices of a reduced state are at distance >= 3: a
+    common neighbour would be locked yet see the top colour twice."""
+    shared = 0
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            space = ReconfigSpace(g, g.max_degree + 1)
+            top = space.matrix == space.k
+            reduced = space.reduced_mask
+            for u in range(n):
+                near = set(g.adjacency[u]).union(*(g.adjacency[x] for x in g.adjacency[u]))
+                for w in near - {u}:
+                    assert not (reduced & top[:, u] & top[:, w]).any()
+            shared += int((reduced & (space.top_counts >= 2)).sum())
+    assert shared
 
 
 def test_pairwise_distances(p3):
@@ -335,20 +359,24 @@ def test_eccentricity_is_constant_on_colour_orbits(cube, c6, k4_minus_edge):
 
 
 def test_named_diameters():
-    assert build_reconfig_graph(petersen_graph(), 4).components == ((12960, 14),)
-    assert build_reconfig_graph(cube_graph(), 5).components == ((29660, 12),)
+    assert ReconfigSpace(petersen_graph(), 4).summary().components == ((12960, 14),)
+    assert ReconfigSpace(cube_graph(), 5).summary().components == ((29660, 12),)
 
 
 def test_invariant_guards_hold_under_optimize():
     """Deleting one state from a built space must trip the guards of both
     ``canonical_index`` (the least state is canonical) and ``moves`` (the
-    largest state is reached by a move), with asserts compiled out."""
+    largest state is reached by a move), with asserts compiled out.  The
+    engine's and the classifier's internal guards must fire there too."""
     src = Path(recolour.__file__).resolve().parents[1]
     script = (
         "import numpy as np\n"
+        "from recolour.classifier import cycle_orientation, winding_sum\n"
+        "from recolour.colouring import Colouring\n"
+        "from recolour.engine import _flip_path_components, _path_with_scratch\n"
         "from recolour.errors import StateSpaceInvariantError\n"
         "from recolour.explorer import ReconfigSpace\n"
-        "from recolour.graph import path_graph\n"
+        "from recolour.graph import Graph, cycle_graph, path_graph, star_graph\n"
         "for drop, member in ((0, 'canonical_index'), (11, 'moves')):\n"
         "    space = ReconfigSpace(path_graph(3), 3)\n"
         "    keep = np.arange(space.size) != drop\n"
@@ -357,9 +385,39 @@ def test_invariant_guards_hold_under_optimize():
         "        getattr(space, member)\n"
         "    except StateSpaceInvariantError:\n"
         "        print('rejected', member)\n"
+        "lollipop = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)])\n"
+        "cases = {\n"
+        "    'flip-cycle': lambda: _flip_path_components(\n"
+        "        cycle_graph(4), [1, 2, 1, 2], [2, 1, 2, 1]),\n"
+        "    'flip-not-a-path': lambda: _flip_path_components(\n"
+        "        lollipop, [1, 2, 1, 2, 1], [2, 1, 2, 1, 2]),\n"
+        "    'flip-agreeing-vertex': lambda: _flip_path_components(\n"
+        "        path_graph(3), [1, 2, 1], [2, 1, 1]),\n"
+        "    'scratch-degree': lambda: _path_with_scratch(\n"
+        "        star_graph(3), [1, 2, 2, 2], [2, 1, 1, 1], 3),\n"
+        "    'scratch-top-colour': lambda: _path_with_scratch(\n"
+        "        path_graph(3), [1, 2, 3], [1, 2, 1], 3),\n"
+        "    'cycle-orientation': lambda: cycle_orientation(path_graph(3), (0, 1, 2)),\n"
+        "    'winding-sum': lambda: winding_sum([0, 1, 2], Colouring(3, (1, 1, 2))),\n"
+        "}\n"
+        "for label, call in cases.items():\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError:\n"
+        "        print('rejected', label)\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, timeout=60, cwd=src, check=True,
     )
-    assert out.stdout.split("\n")[:2] == ["rejected canonical_index", "rejected moves"]
+    assert out.stdout.splitlines() == [
+        "rejected canonical_index",
+        "rejected moves",
+        "rejected flip-cycle",
+        "rejected flip-not-a-path",
+        "rejected flip-agreeing-vertex",
+        "rejected scratch-degree",
+        "rejected scratch-top-colour",
+        "rejected cycle-orientation",
+        "rejected winding-sum",
+    ]
