@@ -17,6 +17,8 @@ Library layout:
 * :mod:`recolour.cli` -- the command-line interface.
 """
 
+import inspect as _inspect
+
 from .colouring import (
     Colouring,
     RecolouringSequence,
@@ -69,4 +71,5 @@ from .explorer import (
 )
 from .graph import Graph, connected_components, format_graph, parse_graph
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names only: the submodules that the imports bind stay out
+__all__ = [n for n, v in globals().items() if n[0] != "_" and not _inspect.ismodule(v)]

@@ -42,9 +42,9 @@ REASON_INCONCLUSIVE = "Inconclusive"
 class PathDecision:
     """Yes/no/unknown answer with the rule that produced it.
 
-    ``space`` is the state space the exhaustive oracle enumerated for the
-    answer, None when a rule answered without one; a caller that goes on to
-    extract a walk reuses it instead of enumerating again.
+    ``space`` is the oracle's state space for the answer (None when a rule
+    answered): holding the decision keeps it alive, so a walk extracted next
+    through :meth:`ReconfigSpace.of` reuses it instead of enumerating again.
     """
 
     answer: bool | None
@@ -158,7 +158,7 @@ def decide_k_colour_path(
 
     # (k = 3, D >= 3) or (k >= 4, D >= k): exhaustive search or give up
     try:
-        space = ReconfigSpace(g, k, limit)
+        space = ReconfigSpace.of(g, k, limit)
     except StateSpaceLimitError:
         return PathDecision(None, REASON_INCONCLUSIVE)
     _, labels = space.component_labels
@@ -198,7 +198,7 @@ def frozen_census(g: Graph, k: int, limit: int = DEFAULT_STATE_LIMIT) -> FrozenC
         return FrozenCensus(0, (), "analytic-degree")
     if g.n and k == g.max_degree + 1 and g.is_regular() and g.n % k != 0:
         return FrozenCensus(0, (), "analytic-divisibility")
-    space = ReconfigSpace(g, k, limit)
+    space = ReconfigSpace.of(g, k, limit)
     frozen = space.frozen_mask
     count = int(frozen.sum())
     witnesses = tuple(

@@ -15,6 +15,7 @@ state-space limit is 2e6 raw states and can be overridden per call with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -170,7 +171,7 @@ def cmd_path(args: argparse.Namespace) -> int:
         print(f"inconclusive: {decision.reason}")
         return EXIT_INCONCLUSIVE
     try:
-        seq = oracle_path(g, k, a, b, args.limit, space=decision.space)
+        seq = oracle_path(g, k, a, b, args.limit)  # reuses decision.space
     except StateSpaceLimitError as exc:
         print(f"path exists ({decision.reason}) but extraction exceeds the limit: {exc}")
         return EXIT_INCONCLUSIVE
@@ -232,7 +233,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _write_reproducer(args: argparse.Namespace, g: Graph, details: dict, tag: str) -> Path:
-    target = args.out if args.out else Path.cwd() / f"reproducer-{tag}.txt"
+    out = args.out or Path.cwd() / "reproducer.txt"
+    target = out.with_name(f"{out.stem}-{tag}{out.suffix}")  # one file per failure
     body = format_graph(g) + json.dumps(details, indent=2) + "\n"
     target.write_text(body)
     return target
@@ -246,9 +248,11 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     failures: list[tuple[str, Graph, dict]] = []
     counts = {"pass": 0, "fail": 0, "skip": 0}
-    rows = []
     for idx, g in enumerate(graphs):
         name = f"g{idx:04d}-n{g.n}-m{g.m}"
+        top = None  # never read: held so the four checks and the k = D+1 cross-check share it
+        with contextlib.suppress(StateSpaceLimitError):
+            top = ReconfigSpace.of(g, g.max_degree + 1, args.limit)
         reports = [
             verify_theorem_delta_plus_one(g, args.limit),
             verify_theorem_main(g, args.limit),
@@ -258,8 +262,7 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
         for report in reports:
             counts[report.status] += 1
             if report.status == "fail":
-                failures.append((name, g, report.to_json_dict()))
-            rows.append((name, report))
+                failures.append((f"{name}-{report.check}", g, report.to_json_dict()))
         for k in range(args.k_min, args.k_max + 1):
             ok, detail = _decision_cross_check(g, k, args, rng)
             if ok is None:
@@ -268,10 +271,10 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
                 counts["pass"] += 1
             else:
                 counts["fail"] += 1
-                failures.append((name, g, detail))
-    for name, g, detail in failures:
-        path = _write_reproducer(args, g, detail, name)
-        print(f"FAIL {name}: reproducer written to {path}")
+                failures.append((f"{name}-{detail['check']}-k{k}", g, detail))
+    for tag, g, detail in failures:
+        path = _write_reproducer(args, g, detail, tag)
+        print(f"FAIL {tag}: reproducer written to {path}")
     if args.fmt == "json":
         print(json.dumps({"graphs": len(graphs), **counts}))
     else:
@@ -285,7 +288,7 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
 def _decision_cross_check(g: Graph, k: int, args: argparse.Namespace, rng: random.Random):
     """Sampled agreement between the analytic decision and the oracle."""
     try:
-        space = ReconfigSpace(g, k, args.limit)
+        space = ReconfigSpace.of(g, k, args.limit)
     except StateSpaceLimitError:
         return None, {}
     if space.size == 0:

@@ -17,6 +17,10 @@ is a cap on the raw state count k**n.
 States are interned as base-k integers of their colour vectors, which makes
 the lexicographic enumeration order coincide with ascending codes.
 
+A space is a pure function of (graph, palette), so oracle consumers share
+one through :meth:`ReconfigSpace.of`; it is held weakly, so nothing keeps a
+space alive beyond its holders.
+
 Exact diameters use the symmetry of the reconfiguration graph.  Renaming the
 colours by a permutation of the palette keeps a colouring proper and keeps a
 one-vertex move a one-vertex move, so it is an automorphism of R_k(G) and
@@ -29,6 +33,7 @@ largest eccentricity in it: about S / k! searches instead of S.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +51,9 @@ DEFAULT_STATE_LIMIT = 2_000_000
 # BFS sources per multi-source call: bounds the (sources, states) distance block
 _BFS_CHUNK = 64
 
+# (graph, palette) -> the latest space built for it, while some caller holds it
+_live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 class ReconfigSpace:
     """All proper k-colourings of a graph plus their single-vertex moves."""
@@ -58,7 +66,6 @@ class ReconfigSpace:
             raise StateSpaceLimitError(raw, limit)
         self.graph = g
         self.k = k
-        self.limit = limit
         self.radix = np.array(
             [k ** (g.n - 1 - v) for v in range(g.n)], dtype=np.int64
         )
@@ -67,6 +74,16 @@ class ReconfigSpace:
             self.codes = (self.matrix.astype(np.int64) - 1) @ self.radix
         else:
             self.codes = np.zeros(self.matrix.shape[0], dtype=np.int64)
+        _live[g, k] = self  # last, so a failed build registers nothing
+
+    @classmethod
+    def of(cls, g: Graph, k: int, limit: int = DEFAULT_STATE_LIMIT) -> "ReconfigSpace":
+        """The space of ``(g, k)`` that some caller still holds, else a new
+        one; ``limit`` caps the raw ``k**n`` either way."""
+        space = _live.get((g, k))
+        if space is None or k ** g.n > limit:  # __init__ raises before building
+            space = cls(g, k, limit)
+        return space
 
     def _enumerate(self) -> np.ndarray:
         g, k = self.graph, self.k
@@ -323,33 +340,17 @@ def oracle_distance(
     g: Graph, k: int, a: Colouring, b: Colouring, limit: int = DEFAULT_STATE_LIMIT
 ) -> int | None:
     """Exact shortest-walk distance between two colourings, None if disconnected."""
-    require_proper(g, a)
-    require_proper(g, b)
-    space = ReconfigSpace(g, k, limit)
-    ia, ib = space.index_of(a), space.index_of(b)
-    dist = space.distances_from([ia])[ib]
-    return None if np.isinf(dist) else int(dist)
+    path = oracle_path(g, k, a, b, limit)
+    return None if path is None else len(path)
 
 
 def oracle_path(
-    g: Graph,
-    k: int,
-    a: Colouring,
-    b: Colouring,
-    limit: int = DEFAULT_STATE_LIMIT,
-    space: ReconfigSpace | None = None,
+    g: Graph, k: int, a: Colouring, b: Colouring, limit: int = DEFAULT_STATE_LIMIT
 ) -> RecolouringSequence | None:
-    """A shortest recolouring sequence from ``a`` to ``b``, None if unreachable.
-
-    ``space`` is the already-built state space of ``(g, k)``, if the caller
-    has one; otherwise it is enumerated here under ``limit``.
-    """
+    """A shortest recolouring sequence from ``a`` to ``b``, None if unreachable."""
     require_proper(g, a)
     require_proper(g, b)
-    if space is None:
-        space = ReconfigSpace(g, k, limit)
-    elif space.graph != g or space.k != k:
-        raise ValueError("state space was built for another graph or palette")
+    space = ReconfigSpace.of(g, k, limit)
     ia, ib = space.index_of(a), space.index_of(b)
     dist, pred = dijkstra(
         space._csgraph,
@@ -432,7 +433,7 @@ def verify_theorem_delta_plus_one(
         return _skip(check, "odd cycle")
     k = g.max_degree + 1
     try:
-        space = ReconfigSpace(g, k, limit)
+        space = ReconfigSpace.of(g, k, limit)
     except StateSpaceLimitError as exc:
         return _skip(check, str(exc))
     low = np.nonzero(space.top_counts == 0)[0]
@@ -477,7 +478,7 @@ def verify_theorem_main(
         return _skip(check, "max degree below 3")
     k = g.max_degree + 1
     try:
-        space = ReconfigSpace(g, k, limit)
+        space = ReconfigSpace.of(g, k, limit)
     except StateSpaceLimitError as exc:
         return _skip(check, str(exc))
     count, labels = space.component_labels
@@ -522,7 +523,7 @@ def verify_lemma_cubic2(g: Graph, limit: int = DEFAULT_STATE_LIMIT) -> CheckRepo
         return _skip(check, "max degree below 3")
     k = g.max_degree + 1
     try:
-        space = ReconfigSpace(g, k, limit)
+        space = ReconfigSpace.of(g, k, limit)
     except StateSpaceLimitError as exc:
         return _skip(check, str(exc))
     qualifying = space.reduced_mask & (space.top_counts >= 2) & ~space.frozen_mask
@@ -560,7 +561,7 @@ def verify_lemma_first(g: Graph, limit: int = DEFAULT_STATE_LIMIT) -> CheckRepor
     check = "locked-path-length-3"
     k = g.max_degree + 1
     try:
-        space = ReconfigSpace(g, k, limit)
+        space = ReconfigSpace.of(g, k, limit)
     except StateSpaceLimitError as exc:
         return _skip(check, str(exc))
     reduced = np.nonzero(space.reduced_mask)[0]

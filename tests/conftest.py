@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from recolour.explorer import ReconfigSpace
 from recolour.graph import (
     Graph,
     complete_graph,
@@ -12,6 +13,20 @@ from recolour.graph import (
     petersen_graph,
     star_graph,
 )
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The (graph, palette) of every ReconfigSpace built while the test runs."""
+    built = []
+    enumerate_space = ReconfigSpace.__init__
+
+    def counting(self, g, k, *args, **kwargs):
+        enumerate_space(self, g, k, *args, **kwargs)
+        built.append((g, k))
+
+    monkeypatch.setattr(ReconfigSpace, "__init__", counting)
+    return built
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from recolour import cli
 from recolour.cli import main
 from recolour.colouring import (
     Colouring,
@@ -11,7 +12,8 @@ from recolour.colouring import (
     sequence_to_text,
     RecolouringSequence,
 )
-from recolour.explorer import ReconfigSpace
+from recolour.corpus import connected_graphs
+from recolour.explorer import CheckReport
 from recolour.graph import (
     Graph,
     complete_graph,
@@ -86,16 +88,8 @@ def test_path_oracle_fallback(tmp_path, capsys):
     assert payload["valid"] is True and payload["steps"] >= 1
 
 
-def test_path_oracle_route_enumerates_once(tmp_path, capsys, monkeypatch):
+def test_path_oracle_route_enumerates_once(tmp_path, capsys, builds):
     # K_{1,3} at k = 3 has max degree above the palette: only the oracle decides
-    built = []
-    enumerate_space = ReconfigSpace.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        enumerate_space(self, *args, **kwargs)
-
-    monkeypatch.setattr(ReconfigSpace, "__init__", counting)
     code = main([
         "path",
         "--graph", write(tmp_path, "g.txt", format_graph(star_graph(3))),
@@ -105,7 +99,7 @@ def test_path_oracle_route_enumerates_once(tmp_path, capsys, monkeypatch):
     ])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["steps"] == 2
-    assert len(built) == 1
+    assert len(builds) == 1
 
 
 def test_path_malformed_graph(tmp_path):
@@ -236,7 +230,7 @@ def test_explore_c5(tmp_path, capsys):
     assert len(big) >= 2
 
 
-def test_verify_corpus_smoke(tmp_path, capsys):
+def test_verify_corpus_smoke(tmp_path, capsys, builds):
     code = main([
         "verify-corpus",
         "--max-n", "4",
@@ -251,6 +245,36 @@ def test_verify_corpus_smoke(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["graphs"] == 6
     assert payload["fail"] == 0
+    # the four checks, the decisions and the censuses share one space per (g, k)
+    assert builds and len(builds) == len(set(builds))
+
+
+def test_verify_corpus_writes_one_reproducer_per_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_theorem_main",
+                        lambda g, limit: CheckReport("always-fails", "fail", "planted"))
+    monkeypatch.setattr(cli, "verify_lemma_cubic2",
+                        lambda g, limit: CheckReport("fails-too", "fail", "planted"))
+    code = main([
+        "verify-corpus",
+        "--max-n", "4",
+        "--k-min", "3",
+        "--k-max", "3",
+        "--pairs", "1",
+        "--cache-dir", str(tmp_path / "cache"),
+        "--out", str(tmp_path / "r.txt"),
+    ])
+    assert code == 1
+    written = sorted(p.name for p in tmp_path.glob("r-*.txt"))
+    assert written == sorted(
+        f"r-g{i:04d}-n4-m{g.m}-{check}.txt"
+        for i, g in enumerate(connected_graphs(4))
+        for check in ("always-fails", "fails-too")
+    )
+    for name in written:
+        body = (tmp_path / name).read_text()  # the graph, then the check's details
+        assert json.loads(body[body.index("{"):])["check"] in name
+    assert capsys.readouterr().out.count("FAIL ") == len(written) == 12
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_verify_corpus_rejects_bad_n():

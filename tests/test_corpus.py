@@ -30,6 +30,18 @@ def test_connected_count_7():
     assert len(connected_graphs(7)) == CONNECTED_COUNTS[7]
 
 
+def test_corpus_matches_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {n: [] for n in range(1, 8)}  # the atlas holds every graph on <= 7 vertices
+    for h in nx.graph_atlas_g()[1:]:  # the first is the empty graph
+        if nx.is_connected(h):
+            g = Graph.from_edges(h.number_of_nodes(), h.edges())
+            atlas[g.n].append(canonical_code(g))
+    for n, codes in atlas.items():
+        assert len(set(codes)) == len(codes) == CONNECTED_COUNTS[n]
+        assert {canonical_code(g) for g in connected_graphs(n)} == set(codes)
+
+
 def test_no_isomorphic_duplicates():
     graphs = connected_graphs(5)
     codes = [canonical_code(g) for g in graphs]

@@ -1,6 +1,8 @@
+import gc
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +100,7 @@ def test_distance_examples(p3, c6):
     assert oracle_distance(c6, 3, frozen, other) is None
 
 
-def test_oracle_path_matches_distance(k4_minus_edge):
+def test_oracle_path_matches_distance(k4_minus_edge, builds):
     g = k4_minus_edge
     a = Colouring(4, (1, 2, 3, 3))
     b = Colouring(4, (4, 1, 2, 2))
@@ -106,9 +108,66 @@ def test_oracle_path_matches_distance(k4_minus_edge):
     path = oracle_path(g, 4, a, b)
     assert path is not None and len(path) == d
     assert apply_sequence(g, a, path).colours == b.colours
-    assert oracle_path(g, 4, a, b, space=ReconfigSpace(g, 4)) == path
-    with pytest.raises(ValueError):
-        oracle_path(g, 4, a, b, space=ReconfigSpace(g, 5))
+    held = ReconfigSpace(g, 4)
+    before = len(builds)
+    assert oracle_path(g, 4, a, b) == path
+    assert len(builds) == before  # the held space answered
+    del held
+
+
+def test_of_shares_only_held_spaces(p3, builds, monkeypatch):
+    held = ReconfigSpace.of(p3, 3)
+    assert ReconfigSpace.of(path_graph(3), 3) is held  # an equal graph finds it
+    with pytest.raises(StateSpaceLimitError):
+        ReconfigSpace.of(p3, 3, limit=26)  # 3**3 raw states, live space or not
+    assert len(builds) == 1
+    del held
+    gc.collect()
+    assert ReconfigSpace.of(p3, 3).size == 12
+    assert len(builds) == 2  # the registry did not keep the dropped space
+
+    def broken(self):
+        raise RuntimeError("enumeration failed")
+
+    g = path_graph(4)
+    enumerate_states = ReconfigSpace._enumerate
+    monkeypatch.setattr(ReconfigSpace, "_enumerate", broken)
+    with pytest.raises(RuntimeError) as failed:
+        ReconfigSpace.of(g, 3)
+    monkeypatch.setattr(ReconfigSpace, "_enumerate", enumerate_states)
+    # ``failed`` keeps the half-built space alive through its traceback
+    assert ReconfigSpace.of(g, 3).size == 24
+    assert len(builds) == 3 and "enumeration failed" in str(failed.value)
+
+
+def test_of_is_safe_across_threads():
+    graphs = [path_graph(n) for n in range(2, 7)]
+    errors = []
+
+    def worker(seed):
+        rng, held = random.Random(seed), []
+        try:
+            for _ in range(200):
+                g = rng.choice(graphs)
+                space = ReconfigSpace.of(g, 3)
+                if (space.graph, space.k, space.size) != (g, 3, 3 * 2 ** (g.n - 1)):
+                    errors.append((g, space.graph, space.size))
+                held = [space, *held[:2]]  # some spaces stay live, so lookups hit
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def test_frozen_mask_matches_predicate(c6):

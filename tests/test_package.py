@@ -20,24 +20,17 @@ PUBLIC = [
     "apply_sequence",
     "augment_to_maximal_independent",
     "brute_force_degeneracy",
-    "classifier",
-    "colouring",
     "colouring_from_text",
     "colouring_to_text",
     "connected_components",
     "decide_k_colour_path",
-    "degeneracy",
     "degeneracy_ordering",
     "degenerate_partition",
     "eliminate_top_colour",
     "elimination_plan",
-    "engine",
-    "errors",
-    "explorer",
     "find_path_non_regular",
     "format_graph",
     "frozen_census",
-    "graph",
     "is_frozen",
     "is_proper",
     "kempe_component",
