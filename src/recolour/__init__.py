@@ -22,7 +22,6 @@ import inspect as _inspect
 from .colouring import (
     Colouring,
     RecolouringSequence,
-    VertexState,
     apply_sequence,
     colouring_from_text,
     colouring_to_text,
@@ -30,7 +29,6 @@ from .colouring import (
     is_proper,
     sequence_from_text,
     sequence_to_text,
-    vertex_state,
 )
 from .classifier import (
     FrozenCensus,
@@ -42,7 +40,6 @@ from .degeneracy import (
     DegeneracyOrdering,
     DegeneratePartition,
     augment_to_maximal_independent,
-    brute_force_degeneracy,
     degeneracy_ordering,
     degenerate_partition,
 )

@@ -1,4 +1,4 @@
-"""Colourings, vertex-freedom predicates and recolouring sequences.
+"""Colourings, properness and frozenness, and recolouring sequences.
 
 Colours are the integers ``1..k``; a colouring is total.  Properness is always
 checked, never assumed.  With respect to a colouring of a graph with maximum
@@ -11,8 +11,9 @@ degree D:
 
 A colouring is *frozen* when every vertex already sees all k-1 other colours
 on its neighbourhood, i.e. no single vertex can be recoloured at all.
-Reduced form, which builds on lockedness, is computed for every state of a
-reconfiguration graph at once by
+Lockedness and reduced form, which builds on it, are computed for every
+state of a reconfiguration graph at once by
+:attr:`recolour.explorer.ReconfigSpace.locked_mask` and
 :attr:`recolour.explorer.ReconfigSpace.reduced_mask`.
 
 A recolouring sequence is an ordered list of single-vertex colour changes;
@@ -72,41 +73,6 @@ def require_proper(g: Graph, c: Colouring, role: str = "colouring") -> None:
 
 def _neighbour_colours(g: Graph, c: Colouring, v: int) -> set[int]:
     return {c.colours[u] for u in g.adjacency[v]}
-
-
-@dataclass(frozen=True)
-class VertexState:
-    """Freedom classification of one vertex; ``witness`` lists the colours
-    below the scratch colour that are absent from the closed neighbourhood."""
-
-    locked: bool
-    witness: tuple[int, ...]
-
-    @property
-    def free(self) -> bool:
-        return not self.locked
-
-    @property
-    def superfree(self) -> bool:
-        return bool(self.witness)
-
-
-def vertex_state(g: Graph, c: Colouring, v: int) -> VertexState:
-    """Locked / free / superfree state of ``v`` under a proper colouring.
-
-    Locked takes precedence: a locked vertex reports no witness even when the
-    palette is larger than max_degree + 1 and spare colours exist.
-    """
-    require_proper(g, c)
-    delta = g.max_degree
-    nb = _neighbour_colours(g, c, v)
-    if len(nb) == delta:
-        return VertexState(True, ())
-    closed = nb | {c.colours[v]}
-    witness = tuple(
-        col for col in range(1, c.k + 1) if col != delta + 1 and col not in closed
-    )
-    return VertexState(False, witness)
 
 
 def is_frozen(g: Graph, c: Colouring) -> bool:

@@ -61,14 +61,6 @@ def _perm_gather(n: int) -> np.ndarray:
     return np.array(rows, dtype=np.int32)
 
 
-def _edge_bits(g: Graph) -> np.ndarray:
-    bits = np.zeros(len(_pairs(g.n)), dtype=np.uint8)
-    index = {pair: e for e, pair in enumerate(_pairs(g.n))}
-    for edge in g.edges:
-        bits[index[edge]] = 1
-    return bits
-
-
 @lru_cache(maxsize=None)
 def _perm_weights(n: int) -> np.ndarray:
     """(n!, n*(n-1)/2) float64 matrix W with W[p] @ bits = code of the graph
@@ -92,15 +84,6 @@ def _canonical_codes(bits: np.ndarray, n: int) -> np.ndarray:
         codes = block_bits[start : start + chunk] @ w.T  # (rows, perms)
         out[start : start + chunk] = codes.min(axis=1).astype(np.int64)
     return out
-
-
-def canonical_code(g: Graph) -> int:
-    """Isomorphism-invariant integer; equal codes mean isomorphic graphs."""
-    if g.n > MAX_CORPUS_N:
-        raise ValueError(f"canonical form limited to n <= {MAX_CORPUS_N}")
-    if g.n <= 1:
-        return 0
-    return int(_canonical_codes(_edge_bits(g)[None, :], g.n)[0])
 
 
 def _graph_from_code(code: int, n: int) -> Graph:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 
 from .errors import (
     BudgetSumMismatchError,
@@ -104,25 +103,6 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
 
 def degeneracy(g: Graph) -> int:
     return degeneracy_ordering(g).degeneracy
-
-
-def brute_force_degeneracy(g: Graph) -> int:
-    """Independent oracle: max over induced subgraphs of their minimum degree.
-
-    Exponential; guarded to small graphs.  Used to cross-check the ordering
-    implementation, never by the algorithms themselves.
-    """
-    if g.n > 16:
-        raise ValueError("brute-force degeneracy is limited to n <= 16")
-    best = 0
-    vertices = range(g.n)
-    adj_sets = [set(a) for a in g.adjacency]
-    for size in range(1, g.n + 1):
-        for subset in combinations(vertices, size):
-            inside = set(subset)
-            min_deg = min(len(adj_sets[v] & inside) for v in subset)
-            best = max(best, min_deg)
-    return best
 
 
 @dataclass(frozen=True)

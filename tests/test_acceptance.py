@@ -18,7 +18,7 @@ import pytest
 from recolour.classifier import decide_k_colour_path, frozen_census, winding_sum, cycle_orientation
 from recolour.colouring import Colouring, apply_sequence, is_frozen
 from recolour.corpus import corpus, random_proper_colouring, random_walk_sequence
-from recolour.degeneracy import brute_force_degeneracy, degeneracy, degenerate_partition
+from recolour.degeneracy import degeneracy, degenerate_partition
 from recolour.engine import (
     RecolouringSequence,
     eliminate_top_colour,
@@ -29,6 +29,8 @@ from recolour.engine import (
 )
 from recolour.explorer import ReconfigSpace
 from recolour.graph import Graph, complete_graph, cube_graph, cycle_graph
+
+from reference import brute_force_degeneracy
 
 ACCEPT_SEED = 20260810
 ORACLE_LIMIT = 200_000  # covers k**n up to 5^7; skips exactly n=7, D in {5, 6}

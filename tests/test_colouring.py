@@ -14,7 +14,6 @@ from recolour.colouring import (
     is_proper,
     sequence_from_text,
     sequence_to_text,
-    vertex_state,
 )
 from recolour.corpus import random_proper_colouring, random_walk_sequence
 from recolour.errors import (
@@ -26,6 +25,7 @@ from recolour.errors import (
 from recolour.explorer import ReconfigSpace
 
 from conftest import random_graph
+from reference import vertex_state
 
 
 FROZEN_C6 = Colouring(3, (1, 2, 3, 1, 2, 3))

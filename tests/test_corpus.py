@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from recolour.colouring import is_proper
 from recolour.corpus import (
     CONNECTED_COUNTS,
-    canonical_code,
     connected_graphs,
     corpus,
     random_proper_colouring,
@@ -16,6 +15,7 @@ from recolour.degeneracy import degeneracy
 from recolour.graph import Graph, cycle_graph, path_graph
 
 from conftest import random_graph
+from reference import canonical_code
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

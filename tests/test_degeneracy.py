@@ -15,7 +15,6 @@ from recolour.degeneracy import (
     DegeneratePartition,
     _validate_parts,
     augment_to_maximal_independent,
-    brute_force_degeneracy,
     degeneracy,
     degeneracy_ordering,
     degenerate_partition,
@@ -34,6 +33,7 @@ from recolour.graph import (
 )
 
 from conftest import random_graph
+from reference import brute_force_degeneracy
 
 
 def reference_min_scan_ordering(g: Graph) -> DegeneracyOrdering:

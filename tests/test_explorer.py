@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 import recolour
-from recolour.colouring import Colouring, apply_sequence, is_frozen, vertex_state
+from recolour.colouring import Colouring, apply_sequence, is_frozen
 from recolour.corpus import connected_graphs, random_proper_colouring
 from recolour.engine import find_path_non_regular
 from recolour.errors import StateSpaceLimitError
@@ -35,6 +35,7 @@ from recolour.graph import (
 )
 
 from conftest import random_graph
+from reference import canonical_eccentricities, vertex_state
 
 
 def test_enumeration_counts(p3, k4):
@@ -414,6 +415,31 @@ def test_eccentricity_is_constant_on_colour_orbits(cube, c6, k4_minus_edge):
             rng.shuffle(perm)
             image = Colouring(k, tuple(perm[c - 1] for c in space.colouring_at(i).colours))
             assert ecc[space.index_of(image)] == ecc[i]
+
+
+def test_eccentricities_across_search_words():
+    """The searches run 64 to a word: check every state against one scipy
+    BFS per canonical state on spaces whose sources fill more than two
+    words and end in a partial one, that hold isolated states, and that
+    hold several non-trivial components."""
+    seen = set()
+    for g, k in ((cycle_graph(10), 3), (cycle_graph(12), 3), (cube_graph(), 4)):
+        space = ReconfigSpace(g, k)
+        _, labels = space.component_labels
+        sizes = space.component_sizes()
+        sources = np.unique(space.canonical_index)
+        sources = sources[sizes[labels[sources]] >= 2]
+        if sources.size > 128 and sources.size % 64:
+            seen.add("partial last word")
+        if (sizes == 1).any() and (sizes >= 2).any():
+            seen.add("isolated states")
+        if (sizes >= 2).sum() >= 2:
+            seen.add("several components")
+        expected = canonical_eccentricities(space)
+        assert space.eccentricities.tolist() == [
+            expected[int(c)] for c in space.canonical_index
+        ]
+    assert seen == {"partial last word", "isolated states", "several components"}
 
 
 def test_named_diameters():

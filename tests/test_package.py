@@ -16,10 +16,8 @@ PUBLIC = [
     "RecolouringSequence",
     "ReconfigGraphSummary",
     "ReconfigSpace",
-    "VertexState",
     "apply_sequence",
     "augment_to_maximal_independent",
-    "brute_force_degeneracy",
     "colouring_from_text",
     "colouring_to_text",
     "connected_components",
@@ -46,7 +44,6 @@ PUBLIC = [
     "verify_lemma_first",
     "verify_theorem_delta_plus_one",
     "verify_theorem_main",
-    "vertex_state",
 ]
 
 
