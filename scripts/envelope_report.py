@@ -21,10 +21,9 @@ from collections import defaultdict
 
 import numpy as np
 
-from recolour.colouring import Colouring
+from recolour.colouring import RecolouringSequence, apply_sequence
 from recolour.corpus import corpus, random_proper_colouring
 from recolour.engine import eliminate_top_colour, elimination_plan, find_path_non_regular
-from recolour.colouring import RecolouringSequence, apply_sequence
 from recolour.explorer import ReconfigSpace
 from recolour.errors import StateSpaceLimitError
 

@@ -1,7 +1,7 @@
 """Constructive recolouring: scratch swaps, top-colour elimination, and
 quadratic-length walks between colourings.
 
-Three layers build on each other.
+Four layers build on each other.
 
 * A *scratch swap* exchanges two colours i, j on a maximal connected
   component of the {i, j}-coloured subgraph in three phases (j to scratch,
@@ -19,19 +19,19 @@ Three layers build on each other.
   position strictly increases between rounds, so at most n rounds and n^2
   steps are ever needed and no vertex is recoloured more than n times.
 
-* The *path construction* connects two colourings that avoid the top colour:
+* One *eliminate-connect-undo step* joins two colourings at palette k:
+  eliminate colour k from both, connect the two results, and replay the
+  second elimination backwards.  The public pipeline for a connected
+  non-regular graph with maximum degree D >= 3 is this step at palette D+1.
+
+* The *connecting part* joins two colourings that avoid the top colour:
   split the graph into a maximal independent set and a remainder of smaller
   degeneracy, park the independent set on the scratch colour from both ends,
-  eliminate the next colour down on the remainder, and recurse with a
-  one-smaller palette.  The remainder has smaller maximum degree because
-  every one of its vertices has a parked neighbour.  At palette 3 the graph
-  is a disjoint union of paths and the two 2-colourings of each component are
-  exchanged directly by walking a travelling scratch down the path.
-
-The public pipeline glues these together for a connected non-regular graph
-with maximum degree at least 3: eliminate the top colour from both input
-colourings, connect the two results, and replay the second elimination
-backwards.
+  and join the remainders with the same step at the next palette down.  The
+  remainder has smaller maximum degree because every one of its vertices has
+  a parked neighbour.  At palette 3 the graph is a disjoint union of paths
+  and the two 2-colourings of each component are exchanged directly by
+  walking a travelling scratch down the path.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .colouring import (
 )
 from .degeneracy import (
     DegeneracyOrdering,
-    augment_to_maximal_independent,
     degeneracy_ordering,
     degenerate_partition,
 )
@@ -331,10 +330,23 @@ def _flip_path_components(g: Graph, a: list[int], b: list[int]) -> list[Step]:
     return steps
 
 
+def _connect(g: Graph, a: list[int], b: list[int], k: int) -> list[Step]:
+    """Steps from ``a`` to ``b`` inside palette ``k``: eliminate colour k
+    from both ends, connect the results, and undo the second elimination."""
+    elim_a, a_low = _eliminate(g, a, k)
+    elim_b, b_low = _eliminate(g, b, k)
+    mid = _path_with_scratch(g, a_low, b_low, k)
+    back = reverse_sequence(Colouring(k, tuple(b)), RecolouringSequence(tuple(elim_b)))
+    return elim_a + mid + list(back.steps)
+
+
 def _path_with_scratch(g: Graph, a: list[int], b: list[int], k: int) -> list[Step]:
     """Steps from ``a`` to ``b`` inside palette ``k``, both avoiding colour k.
 
-    Requires maximum degree <= k-1 and degeneracy <= k-2.
+    Requires maximum degree <= k-1 and degeneracy <= k-2.  Parks a maximal
+    independent set on colour k from both ends, so the remainder has maximum
+    degree at most k-2, and joins the two remainders with one
+    eliminate-connect-undo step at palette k-1.
     """
     if a == b:
         return []
@@ -347,27 +359,13 @@ def _path_with_scratch(g: Graph, a: list[int], b: list[int], k: int) -> list[Ste
     if k == 3:
         return _flip_path_components(g, a, b)
 
-    partition = degenerate_partition(g, k - 2, (0, k - 3))
-    partition = augment_to_maximal_independent(g, partition)
-    s1, s2 = partition.parts
-
-    park_a = [(v, k) for v in s1]
+    # Part 1 has budget 0, so a vertex lands in part 2 only when it already
+    # has a neighbour in part 1: part 1 is a maximal independent set.
+    s1, s2 = degenerate_partition(g, k - 2, (0, k - 3)).parts
     sub, labels = g.induced_subgraph(s2)
-    a_sub = [a[orig] for orig in labels]
-    b_sub = [b[orig] for orig in labels]
-
-    elim_a, a_low = _eliminate(sub, a_sub, k - 1)
-    elim_b, b_low = _eliminate(sub, b_sub, k - 1)
-    mid = _path_with_scratch(sub, a_low, b_low, k - 1)
-
-    def lift(raw: list[Step]) -> list[Step]:
-        return [(labels[v], colour) for v, colour in raw]
-
-    out = list(park_a)
-    out += lift(elim_a)
-    out += lift(mid)
-    back = reverse_sequence(Colouring(k - 1, tuple(b_sub)), RecolouringSequence(tuple(elim_b)))
-    out += lift(back.steps)
+    mid = _connect(sub, [a[v] for v in labels], [b[v] for v in labels], k - 1)
+    out = [(v, k) for v in s1]
+    out += [(labels[v], colour) for v, colour in mid]
     out += [(v, b[v]) for v in reversed(s1)]
     return out
 
@@ -427,11 +425,7 @@ def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSe
         return RecolouringSequence()
 
     # _eliminate checks degeneracy <= D-1, which the middle segment needs too
-    elim_a, low_a = _eliminate(g, list(a.colours), delta + 1)
-    elim_b, low_b = _eliminate(g, list(b.colours), delta + 1)
-    mid = _path_with_scratch(g, low_a, low_b, delta + 1)
-    back = reverse_sequence(b, RecolouringSequence(tuple(elim_b)))
-    seq = RecolouringSequence(tuple(elim_a + mid) + back.steps)
+    seq = RecolouringSequence(tuple(_connect(g, list(a.colours), list(b.colours), delta + 1)))
     final = apply_sequence(g, a, seq)
     if final.colours != b.colours:
         raise AssertionError("pipeline did not end at the target colouring")

@@ -116,7 +116,8 @@ class Graph:
             for u, v in self.edges
             if u in index and v in index
         ]
-        return Graph.from_edges(len(labels), edges), labels
+        # a subset of sorted edges, relabelled in ascending order, stays sorted
+        return Graph(len(labels), tuple(edges)), labels
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

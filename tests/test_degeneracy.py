@@ -286,6 +286,8 @@ def test_augmented_part_dominates(seed, n):
     k = max(degeneracy(g), 1)
     part = degenerate_partition(g, k, (0, k - 1))
     out = augment_to_maximal_independent(g, part)
+    # part 1 of a partition whose first budget is 0 is already maximal
+    assert out.parts == part.parts
     s1 = set(out.parts[0])
     for v in range(n):
         if v not in s1:

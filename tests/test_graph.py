@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from recolour.graph import (
     parse_graph,
     path_graph,
 )
+
+from conftest import random_graph
 
 
 def test_parse_path():
@@ -74,6 +78,20 @@ def test_induced_subgraph_relabels():
     sub, labels = g.induced_subgraph([3, 1, 2])
     assert labels == (1, 2, 3)
     assert sub == complete_graph(3)
+    # the subgraph is built from its edges directly, so they must come out
+    # normalised: equal to what from_edges makes of the same edge set
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.random())
+        chosen = [v for v in range(n) if rng.random() < 0.6]
+        sub, labels = g.induced_subgraph(rng.sample(chosen, len(chosen)))
+        assert labels == tuple(chosen)
+        index = {orig: i for i, orig in enumerate(labels)}
+        mapped_edges = [
+            (index[v], index[u]) for u, v in g.edges if u in index and v in index
+        ]
+        assert sub == Graph.from_edges(len(labels), mapped_edges)
 
 
 def test_adjacency_is_symmetric():
