@@ -10,12 +10,17 @@ Exit codes are a stable contract: 0 success, 1 input error, 2 provable
 negative, 3 inconclusive or state-space limit exceeded.  The default
 state-space limit is 2e6 raw states and can be overridden per call with
 --limit or globally with the RECOLOR_LIMIT environment variable.
+
+The argument parser is built once per process, on the first ``main`` call,
+and holds no per-call state: when --limit is absent, ``main`` reads
+RECOLOR_LIMIT afresh on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -67,6 +72,7 @@ def _default_limit() -> int:
     return DEFAULT_STATE_LIMIT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recolour",
@@ -77,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, graph: bool = True):
         if graph:
             p.add_argument("--graph", type=Path, required=True, help="edge-list file")
-        p.add_argument("--limit", type=int, default=_default_limit(),
+        p.add_argument("--limit", type=int, default=None,
                        help="raw state-space cap for exhaustive operations")
         p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
         p.add_argument("--out", type=Path, default=None, help="output file")
@@ -323,8 +329,9 @@ def _decision_cross_check(g: Graph, k: int, args: argparse.Namespace, rng: rando
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.limit is None:
+        args.limit = _default_limit()
     handlers = {
         "path": cmd_path,
         "validate": cmd_validate,

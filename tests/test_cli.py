@@ -1,7 +1,13 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import recolour
 from recolour import cli
 from recolour.cli import main
 from recolour.colouring import (
@@ -281,14 +287,65 @@ def test_verify_corpus_rejects_bad_n():
     assert main(["verify-corpus", "--max-n", "12"]) == 1
 
 
-def test_env_limit_override(tmp_path, monkeypatch):
+@pytest.fixture
+def explore_c6(tmp_path):
+    """explore C6 at k = 3: 3**6 = 729 raw states, so limit 10 blocks it and 1000 does not."""
+    return ["explore", "--graph", write(tmp_path, "g.txt", format_graph(cycle_graph(6))),
+            "--k", "3"]
+
+
+def test_env_limit_override(explore_c6, monkeypatch):
     monkeypatch.setenv("RECOLOR_LIMIT", "10")
-    code = main([
-        "explore",
-        "--graph", write(tmp_path, "g.txt", format_graph(cycle_graph(6))),
-        "--k", "3",
-    ])
-    assert code == 3
+    assert main(explore_c6) == 3
+    monkeypatch.delenv("RECOLOR_LIMIT")
+    assert main(explore_c6) == 0  # the shared parser kept no limit from the call before
+    monkeypatch.setenv("RECOLOR_LIMIT", "10")
+    assert main(explore_c6) == 3
+    assert main(explore_c6 + ["--limit", "1000"]) == 0  # --limit wins over the environment
+
+
+def test_bad_env_limit_warns_once_and_only_when_read(explore_c6, monkeypatch, capsys):
+    monkeypatch.setenv("RECOLOR_LIMIT", "abc")
+    assert main(explore_c6) == 0  # falls back to the default limit
+    assert capsys.readouterr().err.count("ignoring bad RECOLOR_LIMIT='abc'") == 1
+    assert main(explore_c6 + ["--limit", "1000"]) == 0
+    assert "RECOLOR_LIMIT" not in capsys.readouterr().err
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    assert main(["verify-corpus", "--max-n", "12"]) == 1  # builds the parser if no test has
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    with pytest.raises(SystemExit) as usage:
+        main(["explore", "--k", "3"])  # missing --graph
+    assert usage.value.code == 2
+    assert main(["verify-corpus", "--max-n", "12"]) == 1  # the usage error left it usable
+    assert built == []
+
+
+def _run_module(*argv):
+    src = str(Path(recolour.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "recolour.cli", *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_module_entry_point():
+    helped = _run_module("--help")
+    assert helped.returncode == 0, helped.stderr
+    assert "{path,validate,explore,verify-corpus}" in helped.stdout
+    misused = _run_module("explore", "--k", "3")
+    assert misused.returncode == 2  # argparse's usage-error code
+    assert misused.stderr.startswith("usage: recolour explore")
+    assert "--graph" in misused.stderr
 
 
 def test_explore_warns_on_large_graph(tmp_path, capsys):
