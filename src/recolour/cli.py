@@ -74,6 +74,7 @@ def _default_limit() -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="recolour",
         description="Walks between graph colourings by single-vertex recolouring steps.",

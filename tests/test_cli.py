@@ -312,7 +312,7 @@ def test_bad_env_limit_warns_once_and_only_when_read(explore_c6, monkeypatch, ca
     assert "RECOLOR_LIMIT" not in capsys.readouterr().err
 
 
-def test_parser_built_once_per_process(monkeypatch):
+def test_parser_built_once_per_process(monkeypatch, capsys):
     assert main(["verify-corpus", "--max-n", "12"]) == 1  # builds the parser if no test has
     built = []
     init = argparse.ArgumentParser.__init__
@@ -322,30 +322,25 @@ def test_parser_built_once_per_process(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    capsys.readouterr()
     with pytest.raises(SystemExit) as usage:
         main(["explore", "--k", "3"])  # missing --graph
-    assert usage.value.code == 2
+    assert usage.value.code == 2  # argparse's usage-error code
+    err = capsys.readouterr().err
+    assert err.startswith("usage: recolour explore") and "--graph" in err
     assert main(["verify-corpus", "--max-n", "12"]) == 1  # the usage error left it usable
     assert built == []
 
 
-def _run_module(*argv):
+def test_module_entry_point():
     src = str(Path(recolour.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "recolour.cli", *argv],
+    helped = subprocess.run(
+        [sys.executable, "-m", "recolour.cli", "--help"],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
-
-
-def test_module_entry_point():
-    helped = _run_module("--help")
     assert helped.returncode == 0, helped.stderr
     assert "{path,validate,explore,verify-corpus}" in helped.stdout
-    misused = _run_module("explore", "--k", "3")
-    assert misused.returncode == 2  # argparse's usage-error code
-    assert misused.stderr.startswith("usage: recolour explore")
-    assert "--graph" in misused.stderr
 
 
 def test_explore_warns_on_large_graph(tmp_path, capsys):
