@@ -39,7 +39,6 @@ from .classifier import (
 from .degeneracy import (
     DegeneracyOrdering,
     DegeneratePartition,
-    augment_to_maximal_independent,
     degeneracy_ordering,
     degenerate_partition,
 )
@@ -51,7 +50,6 @@ from .engine import (
     find_path_non_regular,
     kempe_component,
     kempe_swap_via_scratch,
-    path_between_delta_colourings,
     reverse_sequence,
 )
 from .explorer import (
@@ -59,7 +57,6 @@ from .explorer import (
     CheckReport,
     ReconfigGraphSummary,
     ReconfigSpace,
-    oracle_distance,
     oracle_path,
     verify_lemma_cubic2,
     verify_lemma_first,

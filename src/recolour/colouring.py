@@ -130,15 +130,19 @@ def colouring_to_text(c: Colouring) -> str:
 
 
 def colouring_from_text(text: str) -> Colouring:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) != 2:
+    lines = text.splitlines()
+    filled = [i for i, line in enumerate(lines) if line.strip()]
+    if len(filled) == 1 and filled[0] + 1 < len(lines):
+        filled.append(filled[0] + 1)  # no vertices: the colour line is blank
+    if len(filled) != 2:
         raise ColouringParseError("expected two lines: palette size, then colours")
+    palette, colours = (lines[i] for i in filled)
     try:
-        k = int(lines[0])
+        k = int(palette)
     except ValueError:
-        raise ColouringParseError(f"palette line is not an integer: {lines[0]!r}") from None
+        raise ColouringParseError(f"palette line is not an integer: {palette!r}") from None
     try:
-        cols = tuple(int(tok) for tok in lines[1].split())
+        cols = tuple(int(tok) for tok in colours.split())
     except ValueError:
         raise ColouringParseError("colour line must be space-separated integers") from None
     try:

@@ -32,7 +32,6 @@ from .errors import (
     BudgetSumMismatchError,
     InvalidPartitionError,
     NotKDegenerateError,
-    PartNotIndependentError,
 )
 from .graph import Graph
 
@@ -107,15 +106,10 @@ def degeneracy(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class DegeneratePartition:
-    """Partition of the vertices with per-part degeneracy budgets.
-
-    ``witness`` records, in insertion order, each vertex's part and how many
-    of its neighbours were already in that part at insertion time.
-    """
+    """Partition of the vertices with per-part degeneracy budgets."""
 
     parts: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]
-    witness: tuple[tuple[int, int, int], ...] = field(default=(), compare=False)
 
 
 def _validate_parts(g: Graph, parts, budgets, order) -> None:
@@ -170,7 +164,6 @@ def degenerate_partition(g: Graph, k: int, budgets: tuple[int, ...]) -> Degenera
 
     placed_neighbours = [[0] * g.n for _ in range(r)]  # per part, per vertex
     parts: list[list[int]] = [[] for _ in range(r)]
-    witness: list[tuple[int, int, int]] = []
     for v in ordering.order:
         for q in range(r):
             if placed_neighbours[q][v] <= budgets[q]:
@@ -180,52 +173,10 @@ def degenerate_partition(g: Graph, k: int, budgets: tuple[int, ...]) -> Degenera
                 "no admissible part; contradicts the back-degree bound"
             )
         parts[q].append(v)
-        witness.append((v, q, placed_neighbours[q][v]))
         for u in g.adjacency[v]:
             placed_neighbours[q][u] += 1
 
     result = tuple(tuple(sorted(p)) for p in parts)
     _validate_parts(g, result, budgets, ordering.order)
-    return DegeneratePartition(result, budgets, tuple(witness))
+    return DegeneratePartition(result, budgets)
 
-
-def augment_to_maximal_independent(g: Graph, partition: DegeneratePartition) -> DegeneratePartition:
-    """Grow part 1 into a maximal independent set by pulling vertices over.
-
-    One ascending pass suffices: a vertex left outside had a neighbour inside
-    at the time it was examined, and part 1 only grows.  The other parts only
-    shrink, so their degeneracies cannot increase.  The result is checked by
-    certificate along the input's insertion order, which still holds for
-    parts that only lost vertices; a partition built by hand, without a
-    witness, is certified by each part's own smallest-last ordering.
-    """
-    if partition.budgets[0] != 0:
-        raise PartNotIndependentError("part 1 must have budget 0")
-    s1 = set(partition.parts[0])
-    for v in s1:
-        if any(u in s1 for u in g.adjacency[v]):
-            raise PartNotIndependentError(f"part 1 contains adjacent vertices near {v}")
-
-    others = [set(p) for p in partition.parts[1:]]
-    for v in range(g.n):
-        if v in s1:
-            continue
-        if not any(u in s1 for u in g.adjacency[v]):
-            s1.add(v)
-            for part in others:
-                part.discard(v)
-
-    for v in range(g.n):
-        if v not in s1 and not any(u in s1 for u in g.adjacency[v]):
-            raise InvalidPartitionError(f"part 1 is not maximal: vertex {v} could join it")
-    parts = (tuple(sorted(s1)),) + tuple(tuple(sorted(p)) for p in others)
-    if partition.witness:
-        order = [v for v, _, _ in partition.witness]
-    else:
-        order = [
-            labels[v]
-            for sub, labels in map(g.induced_subgraph, parts)
-            for v in degeneracy_ordering(sub).order
-        ]
-    _validate_parts(g, parts, partition.budgets, order)
-    return DegeneratePartition(parts, partition.budgets)

@@ -56,7 +56,6 @@ from .errors import (
     GraphIsRegularError,
     MaxDegreeTooSmallError,
     NoOpStepError,
-    NotDeltaColouringError,
     ScratchColourInUseError,
 )
 from .graph import Graph, connected_components
@@ -368,37 +367,6 @@ def _path_with_scratch(g: Graph, a: list[int], b: list[int], k: int) -> list[Ste
     out += [(labels[v], colour) for v, colour in mid]
     out += [(v, b[v]) for v in reversed(s1)]
     return out
-
-
-def path_between_delta_colourings(
-    g: Graph, c1: Colouring, c2: Colouring
-) -> RecolouringSequence:
-    """Walk between two colourings that use only colours 1..max_degree.
-
-    The graph must have degeneracy at most max_degree - 1.  Intermediate
-    colourings live in the palette max_degree + 1; the result is validated
-    step by step before being returned.
-    """
-    if g.n == 0:
-        return RecolouringSequence()
-    delta = g.max_degree
-    require_proper(g, c1, "first colouring")
-    require_proper(g, c2, "second colouring")
-    for c in (c1, c2):
-        worst = max(c.colours)
-        if worst > delta:
-            raise NotDeltaColouringError(
-                f"colouring uses colour {worst}, above max degree {delta}"
-            )
-    d = degeneracy_ordering(g).degeneracy
-    if d > delta - 1:
-        raise DegeneracyTooHighError(f"degeneracy {d} is not below max degree {delta}")
-    steps = _path_with_scratch(g, list(c1.colours), list(c2.colours), delta + 1)
-    seq = RecolouringSequence(tuple(steps))
-    final = apply_sequence(g, Colouring(delta + 1, c1.colours), seq)
-    if final.colours != c2.colours:
-        raise AssertionError("constructed walk does not end at the target colouring")
-    return seq
 
 
 def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSequence:

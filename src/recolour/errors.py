@@ -67,21 +67,13 @@ class NotKDegenerateError(RecolourError):
     """Graph degeneracy exceeds the bound the caller promised."""
 
 
-class PartNotIndependentError(RecolourError):
-    """First part of a partition was required to be an independent set."""
-
-
 class InvalidPartitionError(RecolourError):
-    """Parts do not partition the vertices, a part exceeds its degeneracy
-    budget, or a part required to be maximal independent is not maximal."""
+    """Parts do not partition the vertices, or a part exceeds its degeneracy
+    budget."""
 
 
 class DegeneracyTooHighError(RecolourError):
     """Graph degeneracy too high for the requested palette."""
-
-
-class NotDeltaColouringError(RecolourError):
-    """Colouring uses a colour above the graph's maximum degree."""
 
 
 class ScratchColourInUseError(RecolourError):

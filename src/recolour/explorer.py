@@ -371,14 +371,6 @@ class ReconfigGraphSummary:
         }
 
 
-def oracle_distance(
-    g: Graph, k: int, a: Colouring, b: Colouring, limit: int = DEFAULT_STATE_LIMIT
-) -> int | None:
-    """Exact shortest-walk distance between two colourings, None if disconnected."""
-    path = oracle_path(g, k, a, b, limit)
-    return None if path is None else len(path)
-
-
 def oracle_path(
     g: Graph, k: int, a: Colouring, b: Colouring, limit: int = DEFAULT_STATE_LIMIT
 ) -> RecolouringSequence | None:

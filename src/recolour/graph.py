@@ -97,9 +97,6 @@ class Graph:
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def is_connected(self) -> bool:
         return len(connected_components(self)) <= 1
 

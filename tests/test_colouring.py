@@ -167,6 +167,18 @@ def test_colouring_text_round_trip():
         colouring_from_text("nope\n1 2\n")
 
 
+def test_colouring_text_round_trip_no_vertices():
+    c = Colouring(3, ())
+    assert colouring_to_text(c) == "3\n\n"
+    assert colouring_from_text(colouring_to_text(c)) == c
+    # blank lines around the two lines are skipped, as for any colouring
+    assert colouring_from_text("\n3\n\n\n") == c
+    assert colouring_from_text("\n4\n\n1 2\n\n") == Colouring(4, (1, 2))
+    for text in ("", "\n\n", "3\n", "3"):
+        with pytest.raises(ColouringParseError):
+            colouring_from_text(text)
+
+
 def test_sequence_text_round_trip():
     seq = RecolouringSequence(((0, 3), (2, 1)))
     assert sequence_to_text(seq) == "steps: 2\n0 3\n2 1\n"

@@ -13,12 +13,12 @@ from recolour.corpus import random_proper_colouring, random_walk_sequence
 from recolour.degeneracy import degeneracy
 from recolour.engine import (
     KempeComponent,
+    _path_with_scratch,
     eliminate_top_colour,
     elimination_plan,
     find_path_non_regular,
     kempe_component,
     kempe_swap_via_scratch,
-    path_between_delta_colourings,
     reverse_sequence,
 )
 from recolour.errors import (
@@ -27,10 +27,9 @@ from recolour.errors import (
     GraphDisconnectedError,
     GraphIsRegularError,
     MaxDegreeTooSmallError,
-    NotDeltaColouringError,
     ScratchColourInUseError,
 )
-from recolour.explorer import oracle_distance
+from recolour.explorer import oracle_path
 from recolour.graph import Graph, path_graph, star_graph
 
 from conftest import random_graph
@@ -190,7 +189,7 @@ def test_eliminate_p4_example(p4):
     assert not out.uses(3)
     assert len(seq) <= 16
     assert apply_sequence(p4, c, seq) == out
-    assert oracle_distance(p4, 3, c, out) is not None
+    assert oracle_path(p4, 3, c, out) is not None
 
 
 def test_eliminate_rejects_high_degeneracy(c5):
@@ -218,58 +217,37 @@ def test_eliminate_bounds_random(seed):
 # paths between colourings below the top colour
 
 
+def middle_segment(g: Graph, a: Colouring, b: Colouring, k: int) -> RecolouringSequence:
+    """The walk from ``a`` to ``b`` inside palette ``k``; both avoid colour k."""
+    return RecolouringSequence(tuple(_path_with_scratch(g, list(a.colours), list(b.colours), k)))
+
+
 def test_path_between_equal(p3):
     c = Colouring(2, (1, 2, 1))
-    assert len(path_between_delta_colourings(p3, c, c)) == 0
+    assert len(middle_segment(p3, c, c, 3)) == 0
 
 
 def test_path_between_p3_flip(p3):
-    seq = path_between_delta_colourings(p3, Colouring(2, (1, 2, 1)), Colouring(2, (2, 1, 2)))
+    seq = middle_segment(p3, Colouring(2, (1, 2, 1)), Colouring(2, (2, 1, 2)), 3)
     out = apply_sequence(p3, Colouring(3, (1, 2, 1)), seq)
     assert out.colours == (2, 1, 2)
     assert max(colour for _, colour in seq) <= 3
-    assert oracle_distance(p3, 3, Colouring(3, (1, 2, 1)), Colouring(3, (2, 1, 2))) is not None
+    assert oracle_path(p3, 3, Colouring(3, (1, 2, 1)), Colouring(3, (2, 1, 2))) is not None
 
 
 def test_path_between_k4_minus_edge(k4_minus_edge):
     g = k4_minus_edge
     c1 = Colouring(3, (1, 2, 3, 3))
     c2 = Colouring(3, (2, 1, 3, 3))
-    seq = path_between_delta_colourings(g, c1, c2)
+    seq = middle_segment(g, c1, c2, 4)
     out = apply_sequence(g, Colouring(4, c1.colours), seq)
     assert out.colours == c2.colours
     assert len(seq) <= 10 * g.n * g.n
 
 
-def test_path_between_rejects_top_colour(k4_minus_edge):
-    with pytest.raises(NotDeltaColouringError):
-        path_between_delta_colourings(
-            k4_minus_edge, Colouring(4, (1, 2, 3, 4)), Colouring(4, (1, 2, 3, 3))
-        )
-
-
-def test_path_between_rejects_cycles(c6):
-    with pytest.raises(DegeneracyTooHighError):
-        path_between_delta_colourings(
-            c6, Colouring(2, (1, 2, 1, 2, 1, 2)), Colouring(2, (2, 1, 2, 1, 2, 1))
-        )
-
-
-def test_path_between_max_degree_one_rejects():
-    # a 1-colouring of an edge is never proper, so any usable input
-    # already exceeds the max degree
-    g = Graph.from_edges(4, [(0, 1)])
-    with pytest.raises(NotDeltaColouringError):
-        path_between_delta_colourings(
-            g, Colouring(2, (1, 2, 2, 2)), Colouring(2, (1, 2, 1, 1))
-        )
-
-
 def test_path_between_with_isolated_vertex():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])  # P3 plus isolated vertex 3
-    seq = path_between_delta_colourings(
-        g, Colouring(2, (1, 2, 1, 1)), Colouring(2, (2, 1, 2, 2))
-    )
+    seq = middle_segment(g, Colouring(2, (1, 2, 1, 1)), Colouring(2, (2, 1, 2, 2)), 3)
     out = apply_sequence(g, Colouring(3, (1, 2, 1, 1)), seq)
     assert out.colours == (2, 1, 2, 2)
 
@@ -284,11 +262,9 @@ def test_path_between_random(seed):
         return
     c1 = random_proper_colouring(g, delta, rng)
     c2 = random_proper_colouring(g, delta, rng)
-    seq = path_between_delta_colourings(g, c1, c2)
+    seq = middle_segment(g, c1, c2, delta + 1)
     out = apply_sequence(g, Colouring(delta + 1, c1.colours), seq)
     assert out.colours == c2.colours
-    # intermediate colourings below the scratch never appear on the walk of
-    # a level once its independent set is parked: spot-check via validity
     assert len(seq) <= 4 * g.n * g.n + 2 * g.n * delta
 
 
@@ -308,7 +284,7 @@ def test_find_path_k4_minus_edge(k4_minus_edge):
     seq = find_path_non_regular(g, a, b)
     assert apply_sequence(g, a, seq).colours == b.colours
     assert len(seq) <= 3 * g.n ** 2 + 2 * g.n * g.max_degree
-    assert oracle_distance(g, 4, a, b) is not None
+    assert oracle_path(g, 4, a, b) is not None
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,6 +301,48 @@ def test_find_path_random_envelope(seed):
     seq = find_path_non_regular(g, a, b)
     assert apply_sequence(g, a, seq).colours == b.colours
     assert len(seq) <= 3 * g.n ** 2 + 2 * g.n * delta
+
+
+def bounded_degree_graph(rng: random.Random, n: int, delta: int) -> Graph:
+    """A connected non-regular graph on ``n`` vertices with maximum degree
+    ``delta``: vertex 0 gets ``delta`` leaves, every later vertex hangs off
+    an earlier one with room, and random chords fill in while degrees
+    allow.  The last vertex takes no chord, so it keeps degree 1."""
+    degree = [0] * n
+    edges = set()
+
+    def join(u, v):
+        edges.add((min(u, v), max(u, v)))
+        degree[u] += 1
+        degree[v] += 1
+
+    for v in range(1, n):
+        join(0 if v <= delta else rng.choice([u for u in range(1, v) if degree[u] < delta]), v)
+    for _ in range(n * delta // 2):
+        u, v = rng.sample(range(n - 1), 2)
+        if (min(u, v), max(u, v)) not in edges and max(degree[u], degree[v]) < delta:
+            join(u, v)
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32))
+def test_find_path_envelope_on_larger_graphs(seed):
+    """Two pairs per graph: one anywhere in palette D+1, and one with colour
+    D+1 unused at both ends, which goes straight to the middle segment."""
+    rng = random.Random(seed)
+    n, delta = rng.randint(20, 200), rng.randint(3, 6)
+    g = bounded_degree_graph(rng, n, delta)
+    assert g.max_degree == delta and g.is_connected() and not g.is_regular()
+    k = delta + 1
+    pairs = [
+        (random_proper_colouring(g, k, rng), random_proper_colouring(g, k, rng)),
+        tuple(Colouring(k, random_proper_colouring(g, delta, rng).colours) for _ in range(2)),
+    ]
+    for a, b in pairs:
+        seq = find_path_non_regular(g, a, b)
+        assert apply_sequence(g, a, seq).colours == b.colours
+        assert len(seq) <= 3 * n ** 2 + 2 * n * delta
 
 
 def test_find_path_rejects_regular(c6, k4):
@@ -350,11 +368,10 @@ def test_deep_recursion_stays_valid():
     # intermediate colouring stays proper inside palette 5
     g = star_graph(4)
     rng = random.Random(3)
-    a = random_proper_colouring(g, g.max_degree, rng)
-    b = random_proper_colouring(g, g.max_degree, rng)
-    seq = path_between_delta_colourings(g, a, b)
-    out = apply_sequence(g, Colouring(g.max_degree + 1, a.colours), seq)
-    assert out.colours == b.colours
+    a = Colouring(5, random_proper_colouring(g, 4, rng).colours)
+    b = Colouring(5, random_proper_colouring(g, 4, rng).colours)
+    seq = find_path_non_regular(g, a, b)
+    assert apply_sequence(g, a, seq).colours == b.colours
 
 
 # ---------------------------------------------------------------------------
