@@ -19,13 +19,10 @@ import argparse
 import random
 from collections import defaultdict
 
-import numpy as np
-
 from recolour.colouring import RecolouringSequence, apply_sequence
 from recolour.corpus import corpus, random_proper_colouring
 from recolour.engine import eliminate_top_colour, elimination_plan, find_path_non_regular
-from recolour.explorer import ReconfigSpace
-from recolour.errors import StateSpaceLimitError
+from recolour.explorer import verify_theorem_delta_plus_one
 
 
 def elimination_rounds(g, c) -> int:
@@ -72,17 +69,11 @@ def main() -> int:
                     row["walk_envelope"],
                     len(walk) / (3 * g.n ** 2 + 2 * g.n * g.max_degree),
                 )
-        try:
-            space = ReconfigSpace(g, k, args.limit)
-        except StateSpaceLimitError:
-            continue
-        low = np.nonzero(space.top_counts == 0)[0]
-        dist = space.distances_from(low)
-        candidates = ~space.frozen_mask
-        if candidates.any():
-            row["oracle"] = max(
-                row["oracle"], float(dist[candidates].max()) / g.n ** 2
-            )
+        report = verify_theorem_delta_plus_one(g, args.limit)
+        if report.status == "fail":
+            raise SystemExit(f"{report.check} failed on {g}: {report.reason}")
+        # a skip (state space over --limit) leaves the column as it is
+        row["oracle"] = max(row["oracle"], report.stats.get("max_distance_over_n2", 0.0))
 
     print(f"{'n':>2} {'D':>2} | {'elim/n^2':>9} {'rounds/n':>9} {'perv/n':>7} "
           f"{'walk/n^2':>9} {'walk/env':>9} {'dist/n^2':>9}")

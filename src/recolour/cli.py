@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--pairs", type=int, default=10,
                        help="sampled colouring pairs per graph and palette")
-    p_ver.add_argument("--cache-dir", type=Path, default=None,
-                       help="corpus cache directory (edge-list files)")
     return parser
 
 
@@ -251,7 +249,7 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
     if not 4 <= args.max_n <= 8:
         print("--max-n must be between 4 and 8", file=sys.stderr)
         return EXIT_INPUT
-    graphs = corpus(4, args.max_n, args.cache_dir)
+    graphs = corpus(4, args.max_n)
     rng = random.Random(args.seed)
     failures: list[tuple[str, Graph, dict]] = []
     counts = {"pass": 0, "fail": 0, "skip": 0}

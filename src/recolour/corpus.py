@@ -8,10 +8,6 @@ exists) plus one new vertex with a non-empty attachment, so augmenting every
 canonical (n-1)-vertex graph with every attachment and re-canonicalising
 covers the lot.  Connected counts for n = 1..7: 1, 1, 2, 6, 21, 112, 853.
 
-The corpus can be cached on disk as plain edge-list files under a directory
-keyed by a hash of the generation parameters; a corrupted cache is
-regenerated transparently.
-
 Also here: seeded samplers for proper colourings, used by the verification
 harness and the tests.  Colouring along a degeneracy ordering always leaves
 a spare colour once the palette exceeds the degeneracy, so sampling never
@@ -20,19 +16,15 @@ backtracks.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
-from pathlib import Path
 
 import numpy as np
 
 from .colouring import Colouring
 from .degeneracy import degeneracy_ordering
-from .errors import RecolourError
-from .graph import Graph, format_graph, parse_graph
+from .graph import Graph
 
 MAX_CORPUS_N = 8
 
@@ -132,55 +124,11 @@ def connected_graphs(n: int) -> list[Graph]:
     return list(_connected_cached(n))
 
 
-def _cache_dir_for(cache_root: Path, n: int) -> Path:
-    key = hashlib.sha256(f"connected-graphs:v1:n={n}".encode()).hexdigest()[:16]
-    return Path(cache_root) / key
-
-
-def _load_cached(directory: Path, n: int) -> list[Graph] | None:
-    manifest = directory / "manifest.json"
-    try:
-        meta = json.loads(manifest.read_text())
-        if meta.get("n") != n or meta.get("format") != "edge-list-v1":
-            return None
-        graphs = []
-        for i in range(meta["count"]):
-            text = (directory / f"graph_{i:05d}.txt").read_text()
-            g = parse_graph(text)
-            if g.n != n:
-                return None
-            graphs.append(g)
-        return graphs
-    except (OSError, ValueError, KeyError, RecolourError):
-        return None
-
-
-def _store_cache(directory: Path, n: int, graphs: list[Graph]) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, g in enumerate(graphs):
-        (directory / f"graph_{i:05d}.txt").write_text(format_graph(g))
-    manifest = {"n": n, "count": len(graphs), "format": "edge-list-v1"}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def corpus(
-    min_n: int = 4, max_n: int = 7, cache_root: Path | str | None = None
-) -> list[Graph]:
-    """Connected corpus for min_n <= n <= max_n, optionally disk-cached."""
+def corpus(min_n: int = 4, max_n: int = 7) -> list[Graph]:
+    """Connected corpus for min_n <= n <= max_n."""
     if not 1 <= min_n <= max_n <= MAX_CORPUS_N:
         raise ValueError(f"need 1 <= min_n <= max_n <= {MAX_CORPUS_N}")
-    out: list[Graph] = []
-    for n in range(min_n, max_n + 1):
-        graphs = None
-        if cache_root is not None:
-            directory = _cache_dir_for(Path(cache_root), n)
-            graphs = _load_cached(directory, n)
-        if graphs is None:
-            graphs = connected_graphs(n)
-            if cache_root is not None:
-                _store_cache(_cache_dir_for(Path(cache_root), n), n, graphs)
-        out.extend(graphs)
-    return out
+    return [g for n in range(min_n, max_n + 1) for g in _connected_cached(n)]
 
 
 def random_proper_colouring(g: Graph, k: int, rng: random.Random) -> Colouring:

@@ -418,10 +418,6 @@ class CheckReport:
     stats: dict = field(default_factory=dict, compare=False)
     counterexamples: tuple = ()
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
     def to_json_dict(self) -> dict:
         return {
             "check": self.check,
@@ -432,7 +428,30 @@ class CheckReport:
         }
 
 
-def _skip(check: str, reason: str) -> CheckReport:
+def _fail(
+    check: str, reason: str, stats: dict, space: ReconfigSpace, mask: np.ndarray
+) -> CheckReport:
+    """A failure citing the first five states of ``mask`` as counterexamples."""
+    rows = np.nonzero(mask)[0][:5]
+    return CheckReport(
+        check, "fail", reason, stats,
+        tuple(tuple(int(x) for x in space.matrix[r]) for r in rows),
+    )
+
+
+_DISCONNECTED = (lambda g: not g.is_connected(), "graph is disconnected")
+_BELOW_CUBIC = (lambda g: g.max_degree < 3, "max degree below 3")
+
+
+def _top_space(check: str, g: Graph, limit: int, guards=()) -> ReconfigSpace | CheckReport:
+    """The palette-(D+1) space of ``g``, or a skip naming the first guard
+    that holds or the state-space cap."""
+    reason = next((reason for holds, reason in guards if holds(g)), None)
+    if reason is None:
+        try:
+            return ReconfigSpace.of(g, g.max_degree + 1, limit)
+        except StateSpaceLimitError as exc:
+            reason = str(exc)
     return CheckReport(check, "skip", reason)
 
 
@@ -452,17 +471,11 @@ def verify_theorem_delta_plus_one(
     """Every non-frozen palette-(D+1) colouring reaches a colouring that
     avoids the top colour, except on complete graphs and odd cycles."""
     check = "delta-colouring-reachability"
-    if not g.is_connected():
-        return _skip(check, "graph is disconnected")
-    if g.is_complete():
-        return _skip(check, "complete graph")
-    if _is_odd_cycle(g):
-        return _skip(check, "odd cycle")
-    k = g.max_degree + 1
-    try:
-        space = ReconfigSpace.of(g, k, limit)
-    except StateSpaceLimitError as exc:
-        return _skip(check, str(exc))
+    space = _top_space(check, g, limit, (
+        _DISCONNECTED, (Graph.is_complete, "complete graph"), (_is_odd_cycle, "odd cycle"),
+    ))
+    if isinstance(space, CheckReport):
+        return space
     low = np.nonzero(space.top_counts == 0)[0]
     if low.size == 0:
         return CheckReport(
@@ -477,13 +490,9 @@ def verify_theorem_delta_plus_one(
         "non_frozen_states": int(candidates.sum()),
     }
     if bad.any():
-        rows = np.nonzero(bad)[0][:5]
-        return CheckReport(
-            check,
-            "fail",
-            "non-frozen colouring cannot reach a top-colour-free colouring",
-            stats,
-            tuple(tuple(int(x) for x in space.matrix[r]) for r in rows),
+        return _fail(
+            check, "non-frozen colouring cannot reach a top-colour-free colouring",
+            stats, space, bad,
         )
     if candidates.any():
         reachable = dist[candidates]
@@ -499,15 +508,9 @@ def verify_theorem_main(
     states are exactly the frozen colourings and at most one component has
     two or more states."""
     check = "single-big-component"
-    if not g.is_connected():
-        return _skip(check, "graph is disconnected")
-    if g.max_degree < 3:
-        return _skip(check, "max degree below 3")
-    k = g.max_degree + 1
-    try:
-        space = ReconfigSpace.of(g, k, limit)
-    except StateSpaceLimitError as exc:
-        return _skip(check, str(exc))
+    space = _top_space(check, g, limit, (_DISCONNECTED, _BELOW_CUBIC))
+    if isinstance(space, CheckReport):
+        return space
     count, labels = space.component_labels
     sizes = space.component_sizes()
     frozen = space.frozen_mask
@@ -519,17 +522,9 @@ def verify_theorem_main(
         "big_components": int((sizes >= 2).sum()),
     }
     if (isolated & ~frozen).any():
-        rows = np.nonzero(isolated & ~frozen)[0][:5]
-        return CheckReport(
-            check, "fail", "isolated state is not frozen", stats,
-            tuple(tuple(int(x) for x in space.matrix[r]) for r in rows),
-        )
+        return _fail(check, "isolated state is not frozen", stats, space, isolated & ~frozen)
     if (frozen & ~isolated).any():
-        rows = np.nonzero(frozen & ~isolated)[0][:5]
-        return CheckReport(
-            check, "fail", "frozen state is not isolated", stats,
-            tuple(tuple(int(x) for x in space.matrix[r]) for r in rows),
-        )
+        return _fail(check, "frozen state is not isolated", stats, space, frozen & ~isolated)
     if int((sizes >= 2).sum()) > 1:
         return CheckReport(check, "fail", "more than one non-trivial component", stats)
     big = np.nonzero(sizes >= 2)[0]
@@ -544,15 +539,9 @@ def verify_lemma_cubic2(g: Graph, limit: int = DEFAULT_STATE_LIMIT) -> CheckRepo
     """Every non-frozen reduced-form colouring with at least two top-coloured
     vertices can reach, within O(n) moves, a colouring with fewer of them."""
     check = "reduce-top-colour-count"
-    if not g.is_connected():
-        return _skip(check, "graph is disconnected")
-    if g.max_degree < 3:
-        return _skip(check, "max degree below 3")
-    k = g.max_degree + 1
-    try:
-        space = ReconfigSpace.of(g, k, limit)
-    except StateSpaceLimitError as exc:
-        return _skip(check, str(exc))
+    space = _top_space(check, g, limit, (_DISCONNECTED, _BELOW_CUBIC))
+    if isinstance(space, CheckReport):
+        return space
     qualifying = space.reduced_mask & (space.top_counts >= 2) & ~space.frozen_mask
     stats = {"states": space.size, "qualifying": int(qualifying.sum())}
     if not qualifying.any():
@@ -562,19 +551,15 @@ def verify_lemma_cubic2(g: Graph, limit: int = DEFAULT_STATE_LIMIT) -> CheckRepo
         sources = np.nonzero(space.top_counts < t)[0]
         here = qualifying & (space.top_counts == t)
         if sources.size == 0:
-            rows = np.nonzero(here)[0][:5]
-            return CheckReport(
-                check, "fail", "no colouring with fewer top-coloured vertices exists",
-                stats,
-                tuple(tuple(int(x) for x in space.matrix[r]) for r in rows),
+            return _fail(
+                check, "no colouring with fewer top-coloured vertices exists",
+                stats, space, here,
             )
         dist = space.distances_from(sources)
         if np.isinf(dist[here]).any():
-            rows = np.nonzero(here & np.isinf(dist))[0][:5]
-            return CheckReport(
-                check, "fail", "cannot reduce the number of top-coloured vertices",
-                stats,
-                tuple(tuple(int(x) for x in space.matrix[r]) for r in rows),
+            return _fail(
+                check, "cannot reduce the number of top-coloured vertices",
+                stats, space, here & np.isinf(dist),
             )
         max_dist = max(max_dist, int(dist[here].max()))
     stats["max_distance"] = max_dist
@@ -586,11 +571,10 @@ def verify_lemma_first(g: Graph, limit: int = DEFAULT_STATE_LIMIT) -> CheckRepor
     """In reduced form, the end of any all-locked path between top-coloured
     vertices also ends such a path of length exactly 3."""
     check = "locked-path-length-3"
-    k = g.max_degree + 1
-    try:
-        space = ReconfigSpace.of(g, k, limit)
-    except StateSpaceLimitError as exc:
-        return _skip(check, str(exc))
+    space = _top_space(check, g, limit)
+    if isinstance(space, CheckReport):
+        return space
+    k = space.k
     # states with fewer than two top-coloured vertices hold no such path
     candidates = np.nonzero(space.reduced_mask & (space.top_counts >= 2))[0]
     adj = g.adjacency

@@ -236,7 +236,7 @@ def test_explore_c5(tmp_path, capsys):
     assert len(big) >= 2
 
 
-def test_verify_corpus_smoke(tmp_path, capsys, builds):
+def test_verify_corpus_smoke(capsys, builds):
     code = main([
         "verify-corpus",
         "--max-n", "4",
@@ -244,7 +244,6 @@ def test_verify_corpus_smoke(tmp_path, capsys, builds):
         "--k-max", "4",
         "--pairs", "3",
         "--seed", "1",
-        "--cache-dir", str(tmp_path / "cache"),
         "--format", "json",
     ])
     assert code == 0
@@ -266,7 +265,6 @@ def test_verify_corpus_writes_one_reproducer_per_failure(tmp_path, capsys, monke
         "--k-min", "3",
         "--k-max", "3",
         "--pairs", "1",
-        "--cache-dir", str(tmp_path / "cache"),
         "--out", str(tmp_path / "r.txt"),
     ])
     assert code == 1
@@ -285,6 +283,14 @@ def test_verify_corpus_writes_one_reproducer_per_failure(tmp_path, capsys, monke
 
 def test_verify_corpus_rejects_bad_n():
     assert main(["verify-corpus", "--max-n", "12"]) == 1
+
+
+def test_verify_corpus_has_no_cache_dir(capsys):
+    """The corpus has one source, the generator: a disk cache is refused."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-corpus", "--cache-dir", "cache"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -69,24 +69,6 @@ def test_corpus_range_and_order():
     assert [g.n for g in graphs] == sorted(g.n for g in graphs)
 
 
-def test_corpus_cache_round_trip(tmp_path):
-    first = corpus(4, 4, cache_root=tmp_path)
-    cached_files = list(tmp_path.rglob("graph_*.txt"))
-    assert len(cached_files) == CONNECTED_COUNTS[4]
-    again = corpus(4, 4, cache_root=tmp_path)
-    assert first == again
-
-
-def test_corpus_cache_corruption_regenerates(tmp_path):
-    corpus(4, 4, cache_root=tmp_path)
-    victim = next(tmp_path.rglob("graph_*.txt"))
-    victim.write_text("garbage\n")
-    again = corpus(4, 4, cache_root=tmp_path)
-    assert len(again) == CONNECTED_COUNTS[4]
-    # cache healed on disk too
-    assert "garbage" not in victim.read_text()
-
-
 def test_sampler_properness():
     rng = random.Random(0)
     for _ in range(50):

@@ -31,6 +31,7 @@ from recolour.graph import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    star_graph,
 )
 
 from conftest import random_graph
@@ -229,6 +230,31 @@ def test_verify_theorem_main(k4, cube, k4_minus_edge, p4):
     assert r.status == "pass" and r.stats["frozen"] == 0
     assert r.stats["big_components"] == 1
     assert verify_theorem_main(p4).status == "skip"  # max degree 2
+
+
+def test_verify_theorem_main_reports_unfrozen_isolated_states(monkeypatch):
+    """On K4 at k = 4 every state is isolated and frozen; a space whose
+    frozen mask is cleared must fail with its first five states cited."""
+    space = ReconfigSpace.of(complete_graph(4), 4)  # held, so the check reads this space
+    monkeypatch.setitem(space.__dict__, "frozen_mask", np.zeros(space.size, dtype=bool))
+    r = verify_theorem_main(complete_graph(4))
+    rows = [(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4), (1, 3, 4, 2), (1, 4, 2, 3)]
+    assert (r.status, r.reason) == ("fail", "isolated state is not frozen")
+    assert r.counterexamples == tuple(rows)
+    assert r.to_json_dict()["counterexamples"] == [list(row) for row in rows]
+
+
+def test_verify_theorem_main_reports_frozen_states_in_big_component(monkeypatch):
+    """K_{1,3} at k = 4 has 108 states and no isolated one; a space whose
+    frozen mask is all True must fail with its first five states cited."""
+    space = ReconfigSpace.of(star_graph(3), 4)
+    assert space.size == 108
+    monkeypatch.setitem(space.__dict__, "frozen_mask", np.ones(space.size, dtype=bool))
+    r = verify_theorem_main(star_graph(3))
+    rows = [(1, 2, 2, 2), (1, 2, 2, 3), (1, 2, 2, 4), (1, 2, 3, 2), (1, 2, 3, 3)]
+    assert (r.status, r.reason) == ("fail", "frozen state is not isolated")
+    assert r.counterexamples == tuple(rows)
+    assert r.to_json_dict()["counterexamples"] == [list(row) for row in rows]
 
 
 def test_verify_lemma_cubic2_small():
