@@ -1,9 +1,13 @@
 """Golden hashes of orderings and walks.
 
-The hashes were recorded from the O(n^2) min-scan ordering that preceded the
-smallest-last heap.  Any change to the ordering's tie-break, or to the walks
-the pipeline emits, changes a hash; such a change has to say why and re-prove
-the walks valid.
+The ordering and pipeline hashes were recorded from the O(n^2) min-scan
+ordering that preceded the smallest-last heap.  Any change to the ordering's
+tie-break, or to the walks the pipeline emits, changes a hash; such a change
+has to say why and re-prove the walks valid.
+
+The oracle hashes pin the exhaustive route: the decisions, the shortest walks
+that ``oracle_path`` reads off scipy's predecessors (which of several shortest
+walks it prints rests on scipy's tie-breaks), and the explore summaries.
 """
 
 import hashlib
@@ -11,10 +15,12 @@ import random
 
 import pytest
 
+from recolour.classifier import decide_k_colour_path
 from recolour.colouring import Colouring
 from recolour.corpus import corpus
 from recolour.degeneracy import degeneracy_ordering
 from recolour.engine import find_path_non_regular
+from recolour.explorer import ReconfigSpace, oracle_path
 from recolour.graph import Graph
 
 # n -> SHA-256 of (order, back_degree) over every corpus graph on n vertices
@@ -43,6 +49,28 @@ WALK_HASHES = {
     (11, 300, 5): "bc578bcfd6b1741416069b5e83f5f78400f0ae655aff56b2db0e2a6b7fcf77e1",  # 779 steps
     (12, 300, 6): "bd41cef9ab9a1c6f6bceed240bb63ab9aebdfb98de1bf1322161554d40d8ad67",  # 806 steps
 }
+
+# n -> SHA-256 of (answer, reason, oracle walk) for seeded pairs of every
+# corpus graph on n vertices at every palette 3..D+2
+ORACLE_HASHES = {
+    2: "77ef16f550041b1ab932736b982e7aeda1fded9cc2e845f83ad1503907b2362f",  # 4 pairs, 7 steps
+    3: "57794135b3f8f7eaf141215ad9f312746db80d4601fc96337ac1931259a0936b",  # 16 pairs, 30 steps
+    4: "a62c9a888b2d6a8c98b01da90b09a8bd389c5699e0f3bcb8efd6e777ee4cade0",  # 60 pairs, 159 steps
+    5: "6819eae2ba222e1e5ea33aaa55bc2e71bc2d0653c5abf2a219bfceeb79a66e81",  # 268 pairs, 903 steps
+    6: "3fabb68b136383a0ceac517b2980e43afd398a13c80d97a27405eac488092e89",  # 1656 pairs, 6774 steps
+}
+
+# n -> SHA-256 of the explore summaries of every corpus graph on n vertices
+# at palettes D+1 and D+2
+SUMMARY_HASHES = {
+    1: "a9522effe3596b3f2f2894d67b10406d358a457acc4f4c96d64009606f3983ba",  # 2 spaces
+    2: "6e3d811a29177df6d1f8aa2de62f361afec29f378814b6b1914731dc87a63b10",  # 2 spaces
+    3: "9ea4799af5926e602a127db03c592a89bb6f74e070fe465fdcc66d707b8d102a",  # 4 spaces
+    4: "249b3e835bc54a63328dd8a0ba06d9daff2807accecad05724d9aa05025e09d9",  # 12 spaces
+    5: "7e5613b3c0f4be17adf5ff7d9a668fc5ffd3e689a8db0fbadcbe354b6ce27c39",  # 42 spaces
+}
+
+ORACLE_PAIRS = 4
 
 
 def _digest(value) -> str:
@@ -100,3 +128,35 @@ def test_pipeline_walks_match_golden(seed, n, delta):
     b = greedy_random_colouring(g, delta + 1, rng)
     seq = find_path_non_regular(g, a, b)
     assert _digest(seq.steps) == WALK_HASHES[(seed, n, delta)]
+
+
+def oracle_answers(n: int) -> list:
+    rng = random.Random(f"oracle/{n}")
+    answers = []
+    for g in corpus(n, n):
+        for k in range(3, g.max_degree + 3):
+            space = ReconfigSpace.of(g, k)  # held, so every call below shares it
+            for _ in range(ORACLE_PAIRS if space.size else 0):
+                a = space.colouring_at(rng.randrange(space.size))
+                b = space.colouring_at(rng.randrange(space.size))
+                decision = decide_k_colour_path(g, k, a, b)
+                walk = oracle_path(g, k, a, b)
+                answers.append((
+                    decision.answer, decision.reason, None if walk is None else walk.steps
+                ))
+    return answers
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_HASHES))
+def test_oracle_walks_match_golden(n):
+    assert _digest(oracle_answers(n)) == ORACLE_HASHES[n]
+
+
+@pytest.mark.parametrize("n", sorted(SUMMARY_HASHES))
+def test_explore_summaries_match_golden(n):
+    summaries = [
+        ReconfigSpace(g, k).summary().to_json_dict()
+        for g in corpus(n, n)
+        for k in (g.max_degree + 1, g.max_degree + 2)
+    ]
+    assert _digest(summaries) == SUMMARY_HASHES[n]
