@@ -11,8 +11,11 @@ distances, frozen counts.
 Everything here is computed from first principles (properness, frozenness
 and lockedness straight from their definitions) so that the module remains
 an independent check on the constructive algorithms.  numpy carries the
-state arrays; scipy's sparse-graph routines find components, distances and
-shortest walks, and diameters come from a bit-parallel BFS over numpy words
+state arrays.  The moves are held once, as one symmetric int32 CSR
+(:attr:`ReconfigSpace.moves`) that scipy's sparse-graph routines read
+without converting it: they find components, distances and shortest walks
+on it as a directed graph, which spares them a transpose per call, and
+diameters come from a bit-parallel BFS over numpy words on the same arrays
 (see :attr:`ReconfigSpace.eccentricities`).  The only guard is a cap on the
 raw state count k**n.
 
@@ -56,6 +59,9 @@ DEFAULT_STATE_LIMIT = 2_000_000
 # one search per bit of a frontier word
 _WORD_BITS = 64
 
+# states per block when building moves and per gather of a BFS level
+_BLOCK_STATES = 2048
+
 # (graph, palette) -> the latest space built for it, while some caller holds it
 _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -74,11 +80,7 @@ class ReconfigSpace:
         self.radix = np.array(
             [k ** (g.n - 1 - v) for v in range(g.n)], dtype=np.int64
         )
-        self.matrix = self._enumerate()
-        if g.n:
-            self.codes = (self.matrix.astype(np.int64) - 1) @ self.radix
-        else:
-            self.codes = np.zeros(self.matrix.shape[0], dtype=np.int64)
+        self.matrix, self.codes = self._enumerate()
         _live[g, k] = self  # last, so a failed build registers nothing
 
     @classmethod
@@ -90,21 +92,33 @@ class ReconfigSpace:
             space = cls(g, k, limit)
         return space
 
-    def _enumerate(self) -> np.ndarray:
+    def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The proper colourings as a (states, n) matrix, and their codes.
+
+        Vertex v extends each partial colouring by every colour that no
+        earlier neighbour carries, in colour order; a child's code is its
+        parent's code times k plus its colour - 1.
+        """
         g, k = self.graph, self.k
         dtype = np.min_scalar_type(k)  # the narrowest unsigned type holding 1..k
-        m = np.zeros((1, 0), dtype=dtype)
+        columns: list[np.ndarray] = []
+        codes = np.zeros(1, dtype=np.int64)
         for v in range(g.n):
-            earlier = [u for u in g.adjacency[v] if u < v]
-            reps = np.repeat(m, k, axis=0)
-            col = np.tile(np.arange(1, k + 1, dtype=dtype), m.shape[0])
-            keep = np.ones(len(col), dtype=bool)
-            for u in earlier:
-                keep &= reps[:, u] != col
-            m = np.concatenate([reps[keep], col[keep, None]], axis=1)
-            if m.shape[0] == 0:
-                return np.zeros((0, g.n), dtype=dtype)
-        return m
+            free = np.ones((codes.size, k + 1), dtype=bool)  # colour slots 0..k
+            free[:, 0] = False
+            starts = np.arange(0, free.size, k + 1)
+            for u in g.adjacency[v]:
+                if u < v:
+                    free.reshape(-1)[starts + columns[u]] = False
+            flat = np.flatnonzero(free)
+            parent = flat // (k + 1)
+            colour = (flat - parent * (k + 1)).astype(dtype)
+            columns = [column[parent] for column in columns]
+            columns.append(colour)
+            codes = codes[parent] * k + (colour - 1)
+        if not columns:
+            return np.zeros((1, 0), dtype=dtype), codes
+        return np.stack(columns, axis=1), codes
 
     @property
     def size(self) -> int:
@@ -112,48 +126,64 @@ class ReconfigSpace:
 
     @cached_property
     def moves(self) -> tuple[np.ndarray, np.ndarray]:
-        """Undirected recolouring moves, each reported once (towards the
-        larger replacement colour)."""
-        g, k = self.graph, self.k
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        for v in range(g.n):
-            current = self.matrix[:, v]
-            for colour in range(2, k + 1):
-                ok = current < colour
-                for u in g.adjacency[v]:
-                    ok &= self.matrix[:, u] != colour
-                idx = np.nonzero(ok)[0]
-                if idx.size == 0:
-                    continue
-                delta = (np.int64(colour) - current[idx].astype(np.int64)) * self.radix[v]
-                target = self.codes[idx] + delta
-                pos = np.searchsorted(self.codes, target)
-                _require_enumerated(self.codes, pos, target, "a single-vertex move")
-                srcs.append(idx)
-                dsts.append(pos)
-        if srcs:
-            return np.concatenate(srcs), np.concatenate(dsts)
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        """Symmetric CSR ``(indptr, indices)`` in int32: every recolouring
+        move in both directions, grouped by source state and ordered within
+        a state by (vertex, new colour).
+
+        States are taken a block at a time.  A block's free-colour table has
+        one slot per (state, vertex, colour 0..k); one scatter clears the
+        slots of colour 0 and of the colours that the vertex or a neighbour
+        carries, and each slot left is one move.  Targets are looked up by
+        raw code in a table over all k**n codes that only the enumerated
+        codes fill, so every target is checked to be an enumerated state.
+        """
+        g, k, size, n = self.graph, self.k, self.size, self.graph.n
+        width, slots = k + 1, n * (k + 1)
+        closed = np.array([u for v, a in enumerate(g.adjacency) for u in (v, *a)], dtype=np.intp)
+        firsts = np.repeat(np.arange(n) * width, [1 + len(a) for a in g.adjacency])
+        # per (state of a block, entry of ``closed``): the first slot it clears in
+        offsets = np.arange(min(size, _BLOCK_STATES))[:, None] * slots + firsts
+        vertex_of = np.repeat(np.arange(n), width)
+        step = (self.radix[:, None] * np.arange(-1, k)).ravel()  # (colour - 1) * radix[v]
+        table = np.empty(k**n, dtype=np.int32)  # pages that no code touches cost nothing
+        table[self.codes] = np.arange(size, dtype=np.int32)
+        counts = np.zeros(size, dtype=np.int32)
+        blocks: list[np.ndarray] = []
+        for start in range(0, size, _BLOCK_STATES):
+            block = self.matrix[start : start + _BLOCK_STATES]
+            rows = block.shape[0]
+            free = np.ones((rows, slots), dtype=bool)
+            free[:, ::width] = False
+            free.reshape(-1)[offsets[:rows] + block[:, closed]] = False
+            flat = np.flatnonzero(free)
+            state = flat // slots
+            slot = flat - state * slots
+            # per (state, vertex): the state's code without the vertex's colour
+            rest = self.codes[start : start + rows, None] - (block - 1) * self.radix
+            target = np.take(rest, state * n + vertex_of[slot]) + step[slot]
+            dst = table[target]
+            _require_enumerated(self.codes, dst, target, "a single-vertex move")
+            counts[start : start + rows] = np.bincount(state, minlength=rows)
+            blocks.append(dst)
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int32)
+        return indptr, indices
 
     @cached_property
     def _csgraph(self) -> csr_matrix:
-        src, dst = self.moves
-        data = np.ones(len(src), dtype=np.int8)
-        return csr_matrix((data, (src, dst)), shape=(self.size, self.size))
-
-    @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric CSR ``(indptr, indices)``: every move in both directions."""
-        c = self._csgraph
-        both = (c + c.T).tocsr()
-        return both.indptr, both.indices
+        """``moves`` as a scipy matrix of unit weights, in the float64 and
+        int32 that scipy's graph routines read without copying."""
+        indptr, indices = self.moves
+        data = np.broadcast_to(1.0, indices.shape)
+        return csr_matrix((data, indices, indptr), shape=(self.size, self.size))
 
     @cached_property
     def component_labels(self) -> tuple[int, np.ndarray]:
         if self.size == 0:
             return 0, np.zeros(0, dtype=np.int32)
-        count, labels = _sparse_components(self._csgraph, directed=False)
+        # every move runs both ways, so the strong components are the components
+        count, labels = _sparse_components(self._csgraph, directed=True, connection="strong")
         return count, labels
 
     @cached_property
@@ -217,7 +247,7 @@ class ReconfigSpace:
         if indices.size == 0:
             return np.full(self.size, np.inf)
         return dijkstra(
-            self._csgraph, directed=False, indices=indices, unweighted=True, min_only=True
+            self._csgraph, directed=True, indices=indices, unweighted=True, min_only=True
         )
 
     def index_of(self, c: Colouring) -> int:
@@ -285,10 +315,15 @@ class ReconfigSpace:
         sources = np.unique(canon)
         sources = sources[self.component_sizes()[labels[sources]] >= 2]
         ecc = np.zeros(self.size, dtype=np.int64)
-        indptr, indices = self._adjacency
+        indptr, indices = self.moves
         # reduceat over an empty row would return the next row's first word
         rows = np.nonzero(np.diff(indptr))[0]
-        starts = indptr[rows]
+        # a level gathers the neighbours' words a block of rows at a time
+        blocks = []
+        for first in range(0, rows.size, _BLOCK_STATES):
+            part = rows[first : first + _BLOCK_STATES]
+            lo, hi = indptr[part[0]], indptr[part[-1] + 1]
+            blocks.append((part, indices[lo:hi], indptr[part] - lo))
         for first in range(0, sources.size, _WORD_BITS):
             chunk = sources[first : first + _WORD_BITS]
             bits = np.left_shift(np.uint64(1), np.arange(chunk.size, dtype=np.uint64))
@@ -297,8 +332,9 @@ class ReconfigSpace:
             frontier, level = seen.copy(), 0
             while True:
                 reached = np.zeros(self.size, dtype=np.uint64)
-                # np.take, unlike frontier[indices], gathers without an intp index copy
-                reached[rows] = np.bitwise_or.reduceat(np.take(frontier, indices), starts)
+                for part, nbrs, starts in blocks:
+                    # np.take, unlike frontier[nbrs], gathers without an intp index copy
+                    reached[part] = np.bitwise_or.reduceat(np.take(frontier, nbrs), starts)
                 reached &= ~seen
                 found = np.bitwise_or.reduce(reached)
                 if not found:
@@ -344,8 +380,10 @@ def _require_enumerated(
     codes: np.ndarray, pos: np.ndarray, target: np.ndarray, what: str
 ) -> None:
     """Raise unless ``codes[pos] == target`` everywhere: every state that
-    ``what`` produces must be an enumerated state."""
-    if pos.size and not np.array_equal(codes[np.minimum(pos, codes.size - 1)], target):
+    ``what`` produces must be an enumerated state.  A ``pos`` out of range
+    is clipped into it, where its code cannot equal a target that is not
+    enumerated, so it fails the check instead of raising IndexError."""
+    if pos.size and not np.array_equal(np.take(codes, pos, mode="clip"), target):
         raise StateSpaceInvariantError(f"{what} left the enumerated states")
 
 
@@ -381,7 +419,7 @@ def oracle_path(
     ia, ib = space.index_of(a), space.index_of(b)
     dist, pred = dijkstra(
         space._csgraph,
-        directed=False,
+        directed=True,
         indices=ia,
         unweighted=True,
         return_predecessors=True,
@@ -392,16 +430,16 @@ def oracle_path(
     while chain[-1] != ia:
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
-    steps = []
-    for here, there in zip(chain, chain[1:]):
-        diff = np.nonzero(space.matrix[here] != space.matrix[there])[0]
-        if diff.size != 1:
-            raise StateSpaceInvariantError(
-                f"BFS step {here} -> {there} recolours {diff.size} vertices"
-            )
-        v = int(diff[0])
-        steps.append((v, int(space.matrix[there][v])))
-    return RecolouringSequence(tuple(steps))
+    states = space.matrix[chain]
+    changed = states[1:] != states[:-1]
+    step, vertex = np.nonzero(changed)
+    if step.tolist() != list(range(len(chain) - 1)):  # not one vertex per step
+        recoloured = changed.sum(axis=1)
+        i = int(np.flatnonzero(recoloured != 1)[0])
+        raise StateSpaceInvariantError(
+            f"BFS step {chain[i]} -> {chain[i + 1]} recolours {recoloured[i]} vertices"
+        )
+    return RecolouringSequence(tuple(zip(vertex.tolist(), states[1:][changed].tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -92,3 +92,29 @@ def canonical_eccentricities(space) -> dict[int, int]:
         dist = dijkstra(space._csgraph, directed=False, indices=source, unweighted=True)
         ecc[int(source)] = int(dist[np.isfinite(dist)].max())
     return ecc
+
+
+def one_vertex_components(space) -> np.ndarray:
+    """Per state: the least state of its component, by min-label propagation.
+
+    Two colourings are one move apart when they agree off some vertex v, so
+    for each v the states that agree off v form a clique of moves.  Every
+    state takes the least label within each of its cliques, vertex after
+    vertex, until no label changes.
+    """
+    colours = space.matrix.astype(np.int64) - 1
+    radix = space.k ** np.arange(space.graph.n - 1, -1, -1, dtype=np.int64)
+    code = colours @ radix
+    cliques = [
+        np.unique(code - colours[:, v] * radix[v], return_inverse=True)[1]
+        for v in range(space.graph.n)
+    ]
+    labels = np.arange(space.size)
+    while True:
+        before = labels.copy()
+        for clique in cliques:
+            least = np.full(space.size, space.size)
+            np.minimum.at(least, clique, labels)
+            labels = least[clique]
+        if np.array_equal(labels, before):
+            return labels

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import recolour
 from recolour.colouring import Colouring, apply_sequence, is_frozen
 from recolour.corpus import connected_graphs, random_proper_colouring
 from recolour.engine import find_path_non_regular
-from recolour.errors import StateSpaceLimitError
+from recolour.errors import StateSpaceInvariantError, StateSpaceLimitError
 from recolour.explorer import (
     ReconfigSpace,
     oracle_path,
@@ -35,7 +36,7 @@ from recolour.graph import (
 )
 
 from conftest import random_graph
-from reference import canonical_eccentricities, vertex_state
+from reference import canonical_eccentricities, one_vertex_components, vertex_state
 
 
 def test_enumeration_counts(p3, k4):
@@ -83,13 +84,35 @@ def test_r3_k1():
     assert summary.components == ((3, 1),)
 
 
-def test_moves_are_symmetric(p4):
-    space = ReconfigSpace(p4, 3)
-    src, dst = space.moves
-    seen = {(int(a), int(b)) for a, b in zip(src, dst)}
-    # each undirected edge appears exactly once, never as a loop
-    assert all(a != b for a, b in seen)
-    assert len(seen) == len(src)
+def test_moves_are_a_symmetric_csr(p4, c6, k4_minus_edge):
+    """``moves`` holds every one-vertex move in both directions, each once,
+    against a brute-force scan of all pairs of states."""
+    for g, k in ((p4, 3), (c6, 3), (c6, 4), (k4_minus_edge, 4), (k4_minus_edge, 5)):
+        space = ReconfigSpace(g, k)
+        indptr, indices = space.moves
+        assert indptr.dtype == indices.dtype == np.int32
+        assert indptr[0] == 0 and indptr[-1] == indices.size
+        src = np.repeat(np.arange(space.size), np.diff(indptr))
+        pairs = list(zip(src.tolist(), indices.tolist()))
+        assert all(a != b for a, b in pairs)  # no loops
+        assert len(set(pairs)) == len(pairs)  # no neighbour twice in a row
+        csgraph = space._csgraph
+        assert (csgraph != csgraph.T).nnz == 0
+        differ = (space.matrix[:, None, :] != space.matrix[None, :, :]).sum(axis=2)
+        assert set(pairs) == set(zip(*(a.tolist() for a in np.nonzero(differ == 1))))
+
+
+def test_component_labels_match_label_propagation():
+    """The same partition as an independent propagation over one-vertex
+    moves, on every corpus space with n <= 6 at palette D+1.  Labels are
+    compared as partitions: their numbering is scipy's."""
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            space = ReconfigSpace(g, g.max_degree + 1)
+            count, labels = space.component_labels
+            expected = one_vertex_components(space)
+            assert count == np.unique(expected).size
+            assert len(set(zip(labels.tolist(), expected.tolist()))) == count
 
 
 def test_distance_examples(p3, c6):
@@ -99,6 +122,8 @@ def test_distance_examples(p3, c6):
     frozen = Colouring(3, (1, 2, 3, 1, 2, 3))
     other = Colouring(3, (1, 2, 1, 2, 1, 2))
     assert oracle_path(c6, 3, frozen, other) is None
+    empty = Colouring(1, ())
+    assert len(oracle_path(Graph(0, ()), 1, empty, empty)) == 0
 
 
 def test_oracle_path_matches_distance(k4_minus_edge, builds):
@@ -112,6 +137,18 @@ def test_oracle_path_matches_distance(k4_minus_edge, builds):
     assert path is not None and len(path) == d
     assert apply_sequence(g, a, path).colours == b.colours
     del held
+
+
+def test_oracle_path_rejects_a_step_of_two_vertices(p3, monkeypatch):
+    """A predecessor chain whose step recolours two vertices is an error,
+    not a walk."""
+    space = ReconfigSpace.of(p3, 3)  # held, so oracle_path reads this space
+    a, b = Colouring(3, (1, 2, 1)), Colouring(3, (3, 2, 3))
+    ia, ib = space.index_of(a), space.index_of(b)
+    bad = csr_matrix(([1.0, 1.0], ([ia, ib], [ib, ia])), shape=(space.size, space.size))
+    monkeypatch.setitem(space.__dict__, "_csgraph", bad)
+    with pytest.raises(StateSpaceInvariantError, match="recolours 2 vertices"):
+        oracle_path(p3, 3, a, b)
 
 
 def test_of_shares_only_held_spaces(p3, builds, monkeypatch):
