@@ -130,9 +130,8 @@ def _read_colouring(path: Path, g: Graph) -> Colouring:
 
 
 def _emit_sequence(args: argparse.Namespace, seq) -> None:
-    text = sequence_to_text(seq)
     if args.out:
-        args.out.write_text(text)
+        args.out.write_text(sequence_to_text(seq))
     if args.fmt == "json":
         print(json.dumps({"steps": len(seq), "sequence": [list(s) for s in seq],
                           "valid": True}))
@@ -140,7 +139,7 @@ def _emit_sequence(args: argparse.Namespace, seq) -> None:
         print(f"steps: {len(seq)}")
         print("valid: true")
         if not args.out:
-            sys.stdout.write(text)
+            sys.stdout.write(sequence_to_text(seq))
 
 
 def cmd_path(args: argparse.Namespace) -> int:

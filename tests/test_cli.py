@@ -94,6 +94,40 @@ def test_path_oracle_fallback(tmp_path, capsys):
     assert payload["valid"] is True and payload["steps"] >= 1
 
 
+WALK_TEXT = "steps: 4\n1 3\n0 2\n2 2\n1 1\n"
+WALK_JSON = '{"steps": 4, "sequence": [[1, 3], [0, 2], [2, 2], [1, 1]], "valid": true}\n'
+
+
+@pytest.mark.parametrize("fmt, to_file, stdout", [
+    ("text", False, "steps: 4\nvalid: true\n" + WALK_TEXT),
+    ("text", True, "steps: 4\nvalid: true\n"),
+    ("json", False, WALK_JSON),
+    ("json", True, WALK_JSON),
+], ids=["text", "text-out", "json", "json-out"])
+def test_path_output_formats(tmp_path, capsys, monkeypatch, fmt, to_file, stdout):
+    """Byte-exact stdout and ``--out`` file in both formats; the sequence
+    text is built only when it is written or printed."""
+    texts = []
+
+    def counting(seq):
+        texts.append(seq)
+        return sequence_to_text(seq)
+
+    monkeypatch.setattr(cli, "sequence_to_text", counting)
+    out = tmp_path / "seq.txt"
+    argv = [
+        "path",
+        "--graph", write(tmp_path, "g.txt", format_graph(path_graph(3))),
+        "--colouring-a", write(tmp_path, "a.txt", colouring_to_text(Colouring(3, (1, 2, 1)))),
+        "--colouring-b", write(tmp_path, "b.txt", colouring_to_text(Colouring(3, (2, 1, 2)))),
+        "--format", fmt,
+    ]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+    assert capsys.readouterr().out == stdout
+    assert (out.read_text() if to_file else None) == (WALK_TEXT if to_file else None)
+    assert len(texts) == (0 if (fmt, to_file) == ("json", False) else 1)
+
+
 def test_path_oracle_route_enumerates_once(tmp_path, capsys, builds):
     # K_{1,3} at k = 3 has max degree above the palette: only the oracle decides
     code = main([
