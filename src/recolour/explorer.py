@@ -59,8 +59,9 @@ DEFAULT_STATE_LIMIT = 2_000_000
 # one search per bit of a frontier word
 _WORD_BITS = 64
 
-# states per block when building moves and per gather of a BFS level
-_BLOCK_STATES = 2048
+# states per block when building moves and per gather of a BFS level: it
+# bounds the temporaries, a few words per move of the block
+_BLOCK_STATES = 1024
 
 # (graph, palette) -> the latest space built for it, while some caller holds it
 _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()

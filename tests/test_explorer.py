@@ -84,7 +84,7 @@ def test_r3_k1():
     assert summary.components == ((3, 1),)
 
 
-def test_moves_are_a_symmetric_csr(p4, c6, k4_minus_edge):
+def test_moves_are_symmetric(p4, c6, k4_minus_edge):
     """``moves`` holds every one-vertex move in both directions, each once,
     against a brute-force scan of all pairs of states."""
     for g, k in ((p4, 3), (c6, 3), (c6, 4), (k4_minus_edge, 4), (k4_minus_edge, 5)):
