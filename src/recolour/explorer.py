@@ -142,7 +142,8 @@ class ReconfigSpace:
         width, slots = k + 1, n * (k + 1)
         closed = np.array([u for v, a in enumerate(g.adjacency) for u in (v, *a)], dtype=np.intp)
         firsts = np.repeat(np.arange(n) * width, [1 + len(a) for a in g.adjacency])
-        # per (state of a block, entry of ``closed``): the first slot it clears in
+        # per (block state, entry u of v's closed neighbourhood): the flat index
+        # of v's colour-0 slot, to which u's colour is added
         offsets = np.arange(min(size, _BLOCK_STATES))[:, None] * slots + firsts
         vertex_of = np.repeat(np.arange(n), width)
         step = (self.radix[:, None] * np.arange(-1, k)).ravel()  # (colour - 1) * radix[v]
