@@ -5,6 +5,11 @@ ordering that preceded the smallest-last heap.  Any change to the ordering's
 tie-break, or to the walks the pipeline emits, changes a hash; such a change
 has to say why and re-prove the walks valid.
 
+The elimination hashes pin top-colour elimination on its own: the steps and
+final colouring of ``eliminate_top_colour`` and the first round that
+``elimination_plan`` reports, from seeded colourings of every small corpus
+graph.
+
 The oracle hashes pin the exhaustive route: the decisions, the shortest walks
 that ``oracle_path`` reads off scipy's predecessors (which of several shortest
 walks it prints rests on scipy's tie-breaks), and the explore summaries.
@@ -17,9 +22,9 @@ import pytest
 
 from recolour.classifier import decide_k_colour_path
 from recolour.colouring import Colouring
-from recolour.corpus import corpus
-from recolour.degeneracy import degeneracy_ordering
-from recolour.engine import find_path_non_regular
+from recolour.corpus import corpus, random_proper_colouring
+from recolour.degeneracy import degeneracy, degeneracy_ordering
+from recolour.engine import eliminate_top_colour, elimination_plan, find_path_non_regular
 from recolour.explorer import ReconfigSpace, oracle_path
 from recolour.graph import Graph
 
@@ -50,6 +55,19 @@ WALK_HASHES = {
     (12, 300, 6): "bd41cef9ab9a1c6f6bceed240bb63ab9aebdfb98de1bf1322161554d40d8ad67",  # 806 steps
 }
 
+# n -> SHA-256 of (steps, final colours, plan) for seeded colourings of every
+# corpus graph on n vertices at palette D+2, and at D+1 when the degeneracy
+# is at most D-1
+ELIMINATION_HASHES = {
+    1: "422c10081941fbeb8a64734a5029afb253467439958b0e3f5317307cc85a00d3",  # 4 starts, 3 steps
+    2: "2c147febc266d67055751b4283834bad8e64c67c04c9746fdf8b718a0e63b6d4",  # 4 starts, 2 steps
+    3: "cbb84ddeab15d49106862746300e4965230a3b0dc4a0d50ddd440db28bf4c841",  # 12 starts, 12 steps
+    4: "93a0bbcb8dcdba192da9379dcf66e8cfdbc37008b7bf3cf17b8b8eef14d3c4a9",  # 40 starts, 42 steps
+    5: "35d9b0ae0db317e4496da24fba118408321f0c948b1366cb6e9cbbeb0f4bfaf2",  # 160 starts, 168 steps
+    6: "bb9150b78947dfe987f77a818f3fdd8e059ff5a870c5b82755d7fb9326959c5e",  # 876 starts, 1016 steps
+    7: "882ab2a99ef554583ca7c57ecc9864114c3a9c3daba734965503b9309b1be8d8",  # 6808 starts, 8125 steps
+}
+
 # n -> SHA-256 of (answer, reason, oracle walk) for seeded pairs of every
 # corpus graph on n vertices at every palette 3..D+2
 ORACLE_HASHES = {
@@ -71,6 +89,7 @@ SUMMARY_HASHES = {
 }
 
 ORACLE_PAIRS = 4
+ELIMINATION_STARTS = 4
 
 
 def _digest(value) -> str:
@@ -128,6 +147,29 @@ def test_pipeline_walks_match_golden(seed, n, delta):
     b = greedy_random_colouring(g, delta + 1, rng)
     seq = find_path_non_regular(g, a, b)
     assert _digest(seq.steps) == WALK_HASHES[(seed, n, delta)]
+
+
+def eliminations(n: int) -> list:
+    rng = random.Random(f"eliminate/{n}")
+    out = []
+    for g in corpus(n, n):
+        palettes = [g.max_degree + 2]
+        if degeneracy(g) <= g.max_degree - 1:
+            palettes.insert(0, g.max_degree + 1)
+        for k in palettes:
+            for _ in range(ELIMINATION_STARTS):
+                c = random_proper_colouring(g, k, rng)
+                seq, final = eliminate_top_colour(g, c)
+                plan = elimination_plan(g, c)
+                out.append((
+                    seq.steps, final.colours, None if plan is None else (plan.h, plan.pairs)
+                ))
+    return out
+
+
+@pytest.mark.parametrize("n", sorted(ELIMINATION_HASHES))
+def test_eliminations_match_golden(n):
+    assert _digest(eliminations(n)) == ELIMINATION_HASHES[n]
 
 
 def oracle_answers(n: int) -> list:
