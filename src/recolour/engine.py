@@ -1,21 +1,17 @@
 """Constructive recolouring: scratch swaps, top-colour elimination, and
 quadratic-length walks between colourings.
 
-Four layers build on each other.
-
-* A *scratch swap* exchanges two colours i, j on a maximal connected
-  component of the {i, j}-coloured subgraph in three phases (j to scratch,
-  i to j, scratch to i), which keeps every intermediate colouring proper as
-  long as the scratch colour is absent from the component's closed
-  neighbourhood.
+The pipeline has three layers, each built on the one before.  The scratch
+swap stands apart: it is a public primitive that no layer calls.
 
 * *Top-colour elimination* removes the largest palette colour from a proper
   colouring of a graph whose degeneracy is at most k-2 (palette k, maximum
   degree at most k-1).  One round walks from the earliest top-coloured vertex
   of a degeneracy ordering to ever-later vertices, each hop moving to the
   neighbour latest in the ordering, until a vertex with a spare colour is
-  found; replaying the walk backwards recolours each visited vertex once and
-  frees the starting vertex from the top colour.  The earliest top-coloured
+  found; each hop reads the spare colours off the current colouring.
+  Replaying the walk backwards recolours each visited vertex once and frees
+  the starting vertex from the top colour.  The earliest top-coloured
   position strictly increases between rounds, so at most n rounds and n^2
   steps are ever needed and no vertex is recoloured more than n times.
 
@@ -32,6 +28,12 @@ Four layers build on each other.
   a parked neighbour.  At palette 3 the graph is a disjoint union of paths
   and the two 2-colourings of each component are exchanged directly by
   walking a travelling scratch down the path.
+
+* A *scratch swap* exchanges two colours i, j on a maximal connected
+  component of the {i, j}-coloured subgraph in three phases (j to scratch,
+  i to j, scratch to i), which keeps every intermediate colouring proper as
+  long as the scratch colour is absent from the component's closed
+  neighbourhood.
 """
 
 from __future__ import annotations
@@ -159,43 +161,10 @@ class EliminationPlan:
     pairs: tuple[Step, ...]
 
 
-class _ColourUsage:
-    """Per-vertex multiset of the colours on the closed neighbourhood."""
-
-    __slots__ = ("counts", "adjacency", "k")
-
-    def __init__(self, g: Graph, cols: list[int], k: int):
-        self.k = k
-        self.adjacency = g.adjacency
-        counts = []
-        for v in range(g.n):
-            row = [0] * (k + 1)
-            row[cols[v]] += 1
-            for u in g.adjacency[v]:
-                row[cols[u]] += 1
-            counts.append(row)
-        self.counts = counts
-
-    def recolour(self, v: int, old: int, new: int) -> None:
-        self.counts[v][old] -= 1
-        self.counts[v][new] += 1
-        for u in self.adjacency[v]:
-            self.counts[u][old] -= 1
-            self.counts[u][new] += 1
-
-    def smallest_absent(self, v: int) -> int | None:
-        row = self.counts[v]
-        for colour in range(1, self.k + 1):
-            if row[colour] == 0:
-                return colour
-        return None
-
-
-def _walk(
-    ordering: DegeneracyOrdering, usage: _ColourUsage, cols: list[int], h: int
-) -> list[Step]:
+def _walk(g: Graph, ordering: DegeneracyOrdering, cols: list[int], k: int, h: int) -> list[Step]:
     """The elimination walk from position ``h``: (vertex, replacement colour)
-    pairs, to be applied from the last pair back."""
+    pairs, to be applied from the last pair back.  Each hop stops at the
+    smallest colour in 1..k absent from the closed neighbourhood, if any."""
     position = ordering.positions
     w = ordering.order[h]
     pairs: list[Step] = []
@@ -205,10 +174,12 @@ def _walk(
         if pos_w <= last_pos:
             raise AssertionError("elimination walk failed to advance in the ordering")
         last_pos = pos_w
-        spare = usage.smallest_absent(w)
-        if spare is not None:
-            pairs.append((w, spare))
-            return pairs
+        used = {cols[u] for u in g.adjacency[w]}
+        used.add(cols[w])
+        for spare in range(1, k + 1):
+            if spare not in used:
+                pairs.append((w, spare))
+                return pairs
         # all k colours on the closed neighbourhood forces degree k-1 with
         # all-distinct neighbour colours, so a later neighbour exists
         nxt = ordering.latest_neighbour[w]
@@ -234,8 +205,7 @@ def elimination_plan(g: Graph, c: Colouring) -> EliminationPlan | None:
     cols = list(c.colours)
     for h, v in enumerate(ordering.order):
         if cols[v] == c.k:
-            usage = _ColourUsage(g, cols, c.k)
-            return EliminationPlan(h, tuple(_walk(ordering, usage, cols, h)))
+            return EliminationPlan(h, tuple(_walk(g, ordering, cols, c.k, h)))
     return None
 
 
@@ -251,16 +221,14 @@ def _eliminate(g: Graph, cols: list[int], k: int) -> tuple[list[Step], list[int]
     """
     ordering = _elimination_setup(g, k)
     cols = list(cols)
-    usage = _ColourUsage(g, cols, k)
     steps: list[Step] = []
     for h, start in enumerate(ordering.order):
         if cols[start] != k:
             continue
-        for v, colour in reversed(_walk(ordering, usage, cols, h)):
+        for v, colour in reversed(_walk(g, ordering, cols, k, h)):
             for u in g.adjacency[v]:
                 if cols[u] == colour:
                     raise AssertionError("elimination step would be improper")
-            usage.recolour(v, cols[v], colour)
             cols[v] = colour
             steps.append((v, colour))
     if k in cols:
