@@ -415,6 +415,8 @@ def oracle_path(
     g: Graph, k: int, a: Colouring, b: Colouring, limit: int = DEFAULT_STATE_LIMIT
 ) -> RecolouringSequence | None:
     """A shortest recolouring sequence from ``a`` to ``b``, None if unreachable."""
+    if a.k != k or b.k != k:
+        raise ValueError(f"colourings must use palette {k}")
     require_proper(g, a)
     require_proper(g, b)
     space = ReconfigSpace.of(g, k, limit)

@@ -126,6 +126,15 @@ def test_distance_examples(p3, c6):
     assert len(oracle_path(Graph(0, ()), 1, empty, empty)) == 0
 
 
+def test_oracle_path_rejects_colourings_from_another_palette(p3):
+    """A walk in palette k joins two k-colourings; any other palette is an
+    error, not a walk that fails to replay."""
+    with pytest.raises(ValueError, match="palette 4"):
+        oracle_path(p3, 4, Colouring(2, (1, 2, 1)), Colouring(3, (3, 1, 3)))
+    with pytest.raises(ValueError, match="palette 3"):
+        oracle_path(p3, 3, Colouring(3, (1, 2, 1)), Colouring(4, (3, 1, 3)))
+
+
 def test_oracle_path_matches_distance(k4_minus_edge, builds):
     g = k4_minus_edge
     a = Colouring(4, (1, 2, 3, 3))
