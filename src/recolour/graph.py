@@ -153,7 +153,6 @@ def parse_graph(text: str) -> Graph:
     if n < 0 or m < 0:
         raise GraphParseError(1, "n and m must be non-negative")
 
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     lineno = 1
     for raw in lines[1:]:
@@ -175,10 +174,10 @@ def parse_graph(text: str) -> Graph:
         if key in seen:
             raise GraphParseError(lineno, f"duplicate edge ({u}, {v})")
         seen.add(key)
-        edges.append(key)
-    if len(edges) != m:
-        raise GraphParseError(lineno, f"header promised {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if len(seen) != m:
+        raise GraphParseError(lineno, f"header promised {m} edges, found {len(seen)}")
+    # the checks above already reject what Graph.from_edges would
+    return Graph(n, tuple(sorted(seen)))
 
 
 def format_graph(g: Graph) -> str:

@@ -29,6 +29,18 @@ def test_parse_k4():
     assert g.is_regular() and g.is_complete()
 
 
+def test_parse_matches_from_edges_in_any_line_order():
+    """Edge lines may come in any order and orientation; the parsed graph
+    equals what Graph.from_edges makes of the same edges."""
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        edges = list(random_graph(rng, n, rng.random()).edges)
+        rng.shuffle(edges)
+        lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in edges]
+        assert parse_graph(f"{n} {len(edges)}\n" + "\n".join(lines)) == Graph.from_edges(n, edges)
+
+
 @pytest.mark.parametrize(
     "text, fragment, line",
     [
