@@ -133,8 +133,7 @@ def _emit_sequence(args: argparse.Namespace, seq) -> None:
     if args.out:
         args.out.write_text(sequence_to_text(seq))
     if args.fmt == "json":
-        print(json.dumps({"steps": len(seq), "sequence": [list(s) for s in seq],
-                          "valid": True}))
+        print(json.dumps({"steps": len(seq), "sequence": seq.steps, "valid": True}))
     else:
         print(f"steps: {len(seq)}")
         print("valid: true")
