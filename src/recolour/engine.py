@@ -163,8 +163,9 @@ class EliminationPlan:
 
 def _walk(g: Graph, ordering: DegeneracyOrdering, cols: list[int], k: int, h: int) -> list[Step]:
     """The elimination walk from position ``h``: (vertex, replacement colour)
-    pairs, to be applied from the last pair back.  Each hop stops at the
-    smallest colour in 1..k absent from the closed neighbourhood, if any."""
+    pairs, to be applied from the last pair back.  The walk ends at the first
+    vertex with a spare colour: the smallest in 1..k absent from its closed
+    neighbourhood."""
     position = ordering.positions
     w = ordering.order[h]
     pairs: list[Step] = []
