@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`recolour.graph`, :mod:`recolour.colouring` -- graphs, colourings,
-  vertex-freedom predicates, recolouring sequences and the file formats;
+  properness and frozenness, recolouring sequences and the file formats;
 * :mod:`recolour.degeneracy` -- degeneracy orderings and prescribed-budget
   partitions (the package attribute is this module; the function is
   :func:`recolour.degeneracy.degeneracy`);

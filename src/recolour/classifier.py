@@ -174,13 +174,6 @@ class FrozenCensus:
     witnesses: tuple[Colouring, ...]
     method: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "witnesses": [list(w.colours) for w in self.witnesses],
-            "method": self.method,
-        }
-
 
 def frozen_census(g: Graph, k: int, limit: int = DEFAULT_STATE_LIMIT) -> FrozenCensus:
     """Exact count of frozen k-colourings.

@@ -93,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_path)
     p_path.add_argument("--colouring-a", type=Path, required=True)
     p_path.add_argument("--colouring-b", type=Path, required=True)
-    p_path.add_argument("--k", type=int, default=None,
-                        help="palette size; defaults to the colouring files' palette")
 
     p_val = sub.add_parser("validate", help="replay a sequence from a start colouring")
     common(p_val)
@@ -148,10 +146,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     if a.k != b.k:
         print(f"palette mismatch: {a.k} vs {b.k}", file=sys.stderr)
         return EXIT_INPUT
-    k = args.k if args.k is not None else a.k
-    if k != a.k:
-        print(f"--k {k} disagrees with colouring palette {a.k}", file=sys.stderr)
-        return EXIT_INPUT
+    k = a.k
 
     delta = g.max_degree
     constructive = (

@@ -5,9 +5,7 @@ checked, never assumed.  With respect to a colouring of a graph with maximum
 degree D:
 
 * a vertex is *locked* when D distinct colours appear on its neighbours;
-* a non-locked vertex is *free*;
-* a free vertex is *superfree* when some colour other than D+1 is absent from
-  the vertex and its whole neighbourhood (those colours are the witness).
+* a non-locked vertex is *free*.
 
 A colouring is *frozen* when every vertex already sees all k-1 other colours
 on its neighbourhood, i.e. no single vertex can be recoloured at all.

@@ -87,10 +87,11 @@ def _graph_from_code(code: int, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+@lru_cache(maxsize=None)
 def _generate_connected(n: int) -> list[Graph]:
     if n == 1:
         return [Graph(1, ())]
-    parents = _connected_cached(n - 1)
+    parents = _generate_connected(n - 1)
     index = {pair: e for e, pair in enumerate(_pairs(n))}
     n_edges = len(_pairs(n))
     rows = []
@@ -108,27 +109,18 @@ def _generate_connected(n: int) -> list[Graph]:
     return [_graph_from_code(int(code), n) for code in codes]
 
 
-_memo: dict[int, list[Graph]] = {}
-
-
-def _connected_cached(n: int) -> list[Graph]:
-    if n not in _memo:
-        _memo[n] = _generate_connected(n)
-    return _memo[n]
-
-
 def connected_graphs(n: int) -> list[Graph]:
     """All non-isomorphic connected graphs on n vertices, in canonical order."""
     if not 1 <= n <= MAX_CORPUS_N:
         raise ValueError(f"corpus generation supports 1 <= n <= {MAX_CORPUS_N}")
-    return list(_connected_cached(n))
+    return list(_generate_connected(n))
 
 
 def corpus(min_n: int = 4, max_n: int = 7) -> list[Graph]:
     """Connected corpus for min_n <= n <= max_n."""
     if not 1 <= min_n <= max_n <= MAX_CORPUS_N:
         raise ValueError(f"need 1 <= min_n <= max_n <= {MAX_CORPUS_N}")
-    return [g for n in range(min_n, max_n + 1) for g in _connected_cached(n)]
+    return [g for n in range(min_n, max_n + 1) for g in _generate_connected(n)]
 
 
 def random_proper_colouring(g: Graph, k: int, rng: random.Random) -> Colouring:

@@ -112,32 +112,16 @@ def kempe_swap_via_scratch(g: Graph, c: Colouring, comp: KempeComponent) -> Reco
     if not comp.vertices:
         return RecolouringSequence()
 
-    members = set(comp.vertices)
-    for v in comp.vertices:
-        if c.colours[v] not in (i, j):
-            raise ValueError(f"component vertex {v} is coloured {c.colours[v]}")
-
-    reached = {comp.vertices[0]}
-    stack = [comp.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for u in g.adjacency[v]:
-            if u in members and u not in reached:
-                reached.add(u)
-                stack.append(u)
-    if reached != members:
-        raise ComponentNotMaximalError("component is not connected in the two-colour subgraph")
+    if set(kempe_component(g, c, comp.vertices[0], i, j).vertices) != set(comp.vertices):
+        raise ComponentNotMaximalError(
+            "component is not a maximal connected piece of the two-colour subgraph"
+        )
     for v in comp.vertices:
         for u in g.adjacency[v]:
-            if u not in members:
-                if c.colours[u] in (i, j):
-                    raise ComponentNotMaximalError(
-                        f"vertex {u} outside the component is coloured {c.colours[u]}"
-                    )
-                if c.colours[u] == scratch:
-                    raise ScratchColourInUseError(
-                        f"neighbour {u} of the component uses the scratch colour {scratch}"
-                    )
+            if c.colours[u] == scratch:
+                raise ScratchColourInUseError(
+                    f"neighbour {u} of the component uses the scratch colour {scratch}"
+                )
 
     j_side = [v for v in comp.vertices if c.colours[v] == j]
     i_side = [v for v in comp.vertices if c.colours[v] == i]
@@ -344,8 +328,10 @@ def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSe
 
     Pipeline: eliminate the top colour from both sides, connect the two
     top-colour-free colourings, replay the second elimination backwards.
-    Total length is O(n^2).  The parts are built unvalidated and the whole
-    sequence is replayed once before returning.
+    Total length is O(n^2).  Both inputs are checked proper on entry, and
+    every elimination step is checked proper as it is made; the parking and
+    palette-3 steps are not checked as they are built.  The whole sequence is
+    then replayed once, which checks every step and the final colouring.
     """
     if not g.is_connected():
         raise GraphDisconnectedError("path construction requires a connected graph")

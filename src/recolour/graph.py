@@ -39,26 +39,22 @@ class Graph:
         prev = None
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) is not an increasing in-range pair")
+                raise ValueError(
+                    f"self-loop at vertex {u}" if u == v
+                    else f"edge ({u}, {v}) out of range for n={self.n} or not increasing"
+                )
             if prev is not None and (u, v) <= prev:
-                raise ValueError("edges must be strictly sorted; use Graph.from_edges")
+                raise ValueError(
+                    f"duplicate edge {prev}" if (u, v) == prev
+                    else "edges must be strictly sorted; use Graph.from_edges"
+                )
             prev = (u, v)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from unordered edge pairs, rejecting loops and duplicates."""
-        normalised = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            normalised.append((u, v) if u < v else (v, u))
-        normalised.sort()
-        for a, b in zip(normalised, normalised[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
-        return cls(n, tuple(normalised))
+        """Build a graph from unordered edge pairs; the constructor rejects
+        loops, out-of-range vertices and duplicates."""
+        return cls(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -66,7 +62,9 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        # strictly sorted edges give each row its smaller neighbours, then
+        # its larger ones, both ascending
+        return tuple(map(tuple, adj))
 
     @cached_property
     def degree(self) -> tuple[int, ...]:
@@ -176,7 +174,7 @@ def parse_graph(text: str) -> Graph:
         seen.add(key)
     if len(seen) != m:
         raise GraphParseError(lineno, f"header promised {m} edges, found {len(seen)}")
-    # the checks above already reject what Graph.from_edges would
+    # the checks above already reject, by line, what the constructor would
     return Graph(n, tuple(sorted(seen)))
 
 

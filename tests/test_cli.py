@@ -327,6 +327,20 @@ def test_verify_corpus_has_no_cache_dir(capsys):
     assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
 
 
+def test_path_has_no_k(k4e_files, capsys):
+    """The palette has one source, the colouring files: --k is refused."""
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "path",
+            "--graph", k4e_files["graph"],
+            "--colouring-a", k4e_files["a"],
+            "--colouring-b", k4e_files["b"],
+            "--k", "4",
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k" in capsys.readouterr().err
+
+
 @pytest.fixture
 def explore_c6(tmp_path):
     """explore C6 at k = 3: 3**6 = 729 raw states, so limit 10 blocks it and 1000 does not."""

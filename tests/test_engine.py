@@ -92,6 +92,17 @@ def test_swap_rejects_non_maximal(p4):
         )
 
 
+def test_swap_rejects_member_outside_the_two_colours():
+    g = path_graph(4)
+    c = Colouring(4, (1, 2, 3, 1))
+    # vertex 2 is coloured 3, so the {1, 2} component of vertex 0 is {0, 1}
+    with pytest.raises(ComponentNotMaximalError):
+        kempe_swap_via_scratch(g, c, KempeComponent(1, 2, (0, 1, 2)))
+    # the first vertex anchors the component search, which rejects it
+    with pytest.raises(ValueError, match="anchor 2 is coloured 3"):
+        kempe_swap_via_scratch(g, c, KempeComponent(1, 2, (2, 0, 1)))
+
+
 def test_swap_rejects_scratch_in_use():
     g = path_graph(4)
     c = Colouring(3, (1, 2, 1, 3))

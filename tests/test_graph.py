@@ -72,6 +72,22 @@ def test_direct_construction_rejects_unnormalised():
         Graph.from_edges(3, [(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize(
+    "edges, fragment",
+    [
+        ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ([(0, 3)], "edge (0, 3) out of range"),
+        ([(-1, 2)], "edge (-1, 2) out of range"),
+        ([(0, 1), (0, 1)], "duplicate edge (0, 1)"),
+        ([(1, 2), (2, 1)], "duplicate edge (1, 2)"),
+    ],
+)
+def test_from_edges_rejects(edges, fragment):
+    with pytest.raises(ValueError) as err:
+        Graph.from_edges(3, edges)
+    assert fragment in str(err.value)
+
+
 def test_components_k4():
     assert connected_components(complete_graph(4)) == [(0, 1, 2, 3)]
 
@@ -112,6 +128,11 @@ def test_adjacency_is_symmetric():
         for v in g.adjacency[u]:
             assert u in g.adjacency[v]
     assert g.degree == tuple(len(a) for a in g.adjacency)
+    rng = random.Random(5)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 15), rng.random())
+        for row in g.adjacency:
+            assert all(a < b for a, b in zip(row, row[1:]))
 
 
 @given(st.integers(2, 8), st.data())

@@ -61,7 +61,6 @@ def test_public_surface_is_pinned():
 # each kept for its reason.
 UNREAD = {
     "colouring_to_text": "the writer half of the colouring file format",
-    "kempe_component": "acceptance criterion 9 builds a scratch swap from it",
     "kempe_swap_via_scratch": "acceptance criterion 9 round-trips a scratch swap",
 }
 
