@@ -30,6 +30,7 @@ from pathlib import Path
 from .classifier import decide_k_colour_path, frozen_census
 from .colouring import (
     Colouring,
+    RecolouringSequence,
     apply_sequence,
     colouring_from_text,
     sequence_from_text,
@@ -168,6 +169,9 @@ def cmd_path(args: argparse.Namespace) -> int:
     if decision.answer is None:
         print(f"inconclusive: {decision.reason}")
         return EXIT_INCONCLUSIVE
+    if a.colours == b.colours:  # the empty walk; no space to enumerate
+        _emit_sequence(args, RecolouringSequence())
+        return EXIT_OK
     try:
         seq = oracle_path(g, k, a, b, args.limit)  # reuses decision.space
     except StateSpaceLimitError as exc:

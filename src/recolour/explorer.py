@@ -12,12 +12,12 @@ Everything here is computed from first principles (properness, frozenness
 and lockedness straight from their definitions) so that the module remains
 an independent check on the constructive algorithms.  numpy carries the
 state arrays.  The moves are held once, as one symmetric int32 CSR
-(:attr:`ReconfigSpace.moves`) that scipy's sparse-graph routines read
-without converting it: they find components, distances and shortest walks
-on it as a directed graph, which spares them a transpose per call, and
-diameters come from a bit-parallel BFS over numpy words on the same arrays
-(see :attr:`ReconfigSpace.eccentricities`).  The only guard is a cap on the
-raw state count k**n.
+(:attr:`ReconfigSpace.moves`).  scipy's sparse-graph routines read it as a
+directed graph without converting it, which spares them a transpose per
+call, and find only the components and the shortest walks that
+:func:`oracle_path` prints.  Distances and diameters come from one
+bit-parallel level search over numpy words (:meth:`ReconfigSpace._levels`).
+The only guard is a cap on the raw state count k**n.
 
 States are interned as base-k integers of their colour vectors, which makes
 the lexicographic enumeration order coincide with ascending codes.
@@ -149,8 +149,8 @@ class ReconfigSpace:
         step = (self.radix[:, None] * np.arange(-1, k)).ravel()  # (colour - 1) * radix[v]
         table = np.empty(k**n, dtype=np.int32)  # pages that no code touches cost nothing
         table[self.codes] = np.arange(size, dtype=np.int32)
-        counts = np.zeros(size, dtype=np.int32)
-        blocks: list[np.ndarray] = []
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        indices = np.empty(size * n * (k - 1), dtype=np.int32)  # the most moves there can be
         for start in range(0, size, _BLOCK_STATES):
             block = self.matrix[start : start + _BLOCK_STATES]
             rows = block.shape[0]
@@ -165,12 +165,11 @@ class ReconfigSpace:
             target = np.take(rest, state * n + vertex_of[slot]) + step[slot]
             dst = table[target]
             _require_enumerated(self.codes, dst, target, "a single-vertex move")
-            counts[start : start + rows] = np.bincount(state, minlength=rows)
-            blocks.append(dst)
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int32)
-        return indptr, indices
+            lo = indptr[start]
+            indices[lo : lo + dst.size] = dst
+            row_moves = np.bincount(state, minlength=rows)
+            indptr[start + 1 : start + rows + 1] = lo + np.cumsum(row_moves)
+        return indptr, indices[: indptr[-1]]
 
     @cached_property
     def _csgraph(self) -> csr_matrix:
@@ -243,14 +242,12 @@ class ReconfigSpace:
 
     def distances_from(self, indices) -> np.ndarray:
         """Multi-source BFS distances to every state (inf when unreachable)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if self.size == 0:
-            return np.zeros(0)
-        if indices.size == 0:
-            return np.full(self.size, np.inf)
-        return dijkstra(
-            self._csgraph, directed=True, indices=indices, unweighted=True, min_only=True
-        )
+        seen = np.zeros(self.size, dtype=np.uint8)  # one search, so one bit
+        seen[np.asarray(indices, dtype=np.intp)] = 1
+        dist = np.where(seen, 0.0, np.inf)
+        for level, (reached, _) in enumerate(self._levels(seen), 1):
+            dist[reached != 0] = level
+        return dist
 
     def index_of(self, c: Colouring) -> int:
         """State index of a proper colouring (values may use fewer colours)."""
@@ -299,52 +296,60 @@ class ReconfigSpace:
         return pos
 
     @cached_property
+    def _row_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``moves`` as :meth:`_levels` gathers it, per block of non-empty rows
+        (reduceat over an empty row would give the next row's first word):
+        the rows, a view of their targets and where each row starts in it."""
+        indptr, indices = self.moves
+        rows = np.nonzero(np.diff(indptr))[0]
+        blocks = []
+        for first in range(0, rows.size, _BLOCK_STATES):
+            part = rows[first : first + _BLOCK_STATES]
+            lo, hi = indptr[part[0]], indptr[part[-1] + 1]
+            blocks.append((part, indices[lo:hi], indptr[part] - lo))
+        return blocks
+
+    def _levels(self, seen: np.ndarray):
+        """The searches from the bits set in ``seen`` (a word per state, a bit
+        per search), a level at a time.  A level ORs each state's neighbours'
+        words; the bits new at a state join ``seen`` and are yielded, with their
+        OR over all states.  The searches end at a level that reaches nothing."""
+        frontier = seen
+        while True:
+            reached = np.zeros_like(seen)
+            for part, nbrs, starts in self._row_blocks:
+                # np.take, unlike frontier[nbrs], gathers without an intp index copy
+                reached[part] = np.bitwise_or.reduceat(np.take(frontier, nbrs), starts)
+            reached &= ~seen
+            found = np.bitwise_or.reduce(reached)
+            if not found:
+                return
+            seen |= reached
+            yield reached, found
+            frontier = reached
+
+    @cached_property
     def eccentricities(self) -> np.ndarray:
         """Per state: its largest distance to a state of its own component.
 
         Colour renamings preserve eccentricity (see the module docstring), so
         only the distinct canonical states of components with two or more
-        states are searched from.  The searches advance together, level by
-        level, 64 to a pass: each state holds one ``uint64`` word with one
-        bit per search, a level ORs the words of every state's neighbours,
-        and a bit that appears at a state for the first time marks that
-        state as reached by that search.  A source's eccentricity is the last
-        level that reaches a new state from it; a pass ends at the first
-        level that reaches none.
+        states are searched from, 64 to a ``uint64`` word of :meth:`_levels`.
+        A source's eccentricity is the last level that reaches a new state
+        from it.
         """
         _, labels = self.component_labels
         canon = self.canonical_index
         sources = np.unique(canon)
         sources = sources[self.component_sizes()[labels[sources]] >= 2]
         ecc = np.zeros(self.size, dtype=np.int64)
-        indptr, indices = self.moves
-        # reduceat over an empty row would return the next row's first word
-        rows = np.nonzero(np.diff(indptr))[0]
-        # a level gathers the neighbours' words a block of rows at a time
-        blocks = []
-        for first in range(0, rows.size, _BLOCK_STATES):
-            part = rows[first : first + _BLOCK_STATES]
-            lo, hi = indptr[part[0]], indptr[part[-1] + 1]
-            blocks.append((part, indices[lo:hi], indptr[part] - lo))
         for first in range(0, sources.size, _WORD_BITS):
             chunk = sources[first : first + _WORD_BITS]
             bits = np.left_shift(np.uint64(1), np.arange(chunk.size, dtype=np.uint64))
             seen = np.zeros(self.size, dtype=np.uint64)
             seen[chunk] = bits
-            frontier, level = seen.copy(), 0
-            while True:
-                reached = np.zeros(self.size, dtype=np.uint64)
-                for part, nbrs, starts in blocks:
-                    # np.take, unlike frontier[nbrs], gathers without an intp index copy
-                    reached[part] = np.bitwise_or.reduceat(np.take(frontier, nbrs), starts)
-                reached &= ~seen
-                found = np.bitwise_or.reduce(reached)
-                if not found:
-                    break
-                level += 1
+            for level, (_, found) in enumerate(self._levels(seen), 1):
                 ecc[chunk[(found & bits) != 0]] = level
-                seen |= reached
-                frontier = reached
         return ecc[canon]
 
     @cached_property

@@ -94,6 +94,15 @@ def canonical_eccentricities(space) -> dict[int, int]:
     return ecc
 
 
+def multi_source_distances(space, sources) -> np.ndarray:
+    """Per state: its distance to the nearest of ``sources`` (inf when none
+    is reachable), from scipy's multi-source search."""
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.size == 0:
+        return np.full(space.size, np.inf)
+    return dijkstra(space._csgraph, indices=sources, min_only=True, unweighted=True)
+
+
 def one_vertex_components(space) -> np.ndarray:
     """Per state: the least state of its component, by min-label propagation.
 

@@ -9,6 +9,7 @@ import pytest
 
 import recolour
 from recolour import cli
+from recolour.classifier import decide_k_colour_path
 from recolour.cli import main
 from recolour.colouring import (
     Colouring,
@@ -176,6 +177,33 @@ def test_path_inconclusive_limit(tmp_path):
         "--limit", "10",
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("g, colours, reason", [
+    (cycle_graph(26), (1, 2) * 12 + (1, 3), "TrivialYes"),  # 3**26 raw states
+    (cycle_graph(6), (1, 2, 3) * 2, "FrozenEqual"),
+    (complete_graph(4), (1, 2, 3, 4), "FrozenEqual"),
+], ids=["c26", "c6-frozen", "k4-frozen"])
+def test_path_between_equal_colourings_is_empty(tmp_path, capsys, builds, g, colours, reason):
+    """A colouring reaches itself by the empty walk, printed in both formats
+    without enumerating the space, whatever its size; an improper one is
+    still an input error."""
+    c = Colouring(max(colours), colours)
+    assert decide_k_colour_path(g, c.k, c, c).reason == reason
+    argv = [
+        "path",
+        "--graph", write(tmp_path, "g.txt", format_graph(g)),
+        "--colouring-a", write(tmp_path, "a.txt", colouring_to_text(c)),
+        "--colouring-b", write(tmp_path, "b.txt", colouring_to_text(c)),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "steps: 0\nvalid: true\nsteps: 0\n"
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"steps": 0, "sequence": [], "valid": true}\n'
+    assert builds == []
+    improper = Colouring(c.k, (colours[1],) + colours[1:])
+    argv[4] = argv[6] = write(tmp_path, "bad.txt", colouring_to_text(improper))
+    assert main(argv) == 1
 
 
 def test_validate_ok(tmp_path, k4e_files, capsys):

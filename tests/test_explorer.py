@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,12 @@ from recolour.graph import (
 )
 
 from conftest import random_graph
-from reference import canonical_eccentricities, one_vertex_components, vertex_state
+from reference import (
+    canonical_eccentricities,
+    multi_source_distances,
+    one_vertex_components,
+    vertex_state,
+)
 
 
 def test_enumeration_counts(p3, k4):
@@ -244,6 +250,56 @@ def test_distance_symmetry_and_triangle(seed):
     assert da[ib] == db[ia]
     if np.isfinite(da[ib]) and np.isfinite(db[ic]):
         assert da[ic] <= da[ib] + db[ic]
+
+
+def _source_sets(space, rng):
+    """The sets the checks search from and a few others: the top-colour-free
+    states, a random subset, one state and none."""
+    yield np.nonzero(space.top_counts == 0)[0]
+    yield np.array(sorted(rng.sample(range(space.size), space.size // 3)))
+    yield [rng.randrange(space.size)]
+    yield []
+
+
+def test_distances_from_matches_scipy():
+    """Multi-source distances equal scipy's on every corpus space with
+    n <= 6 at palettes D+1 and D+2, and on spaces of more than one block of
+    rows that hold isolated states and several components."""
+    rng = random.Random(8)
+    spaces = [
+        ReconfigSpace(g, k)
+        for n in range(1, 7)
+        for g in connected_graphs(n)
+        for k in (g.max_degree + 1, g.max_degree + 2)
+    ]
+    for g, k in ((cycle_graph(10), 3), (cycle_graph(12), 3), (cube_graph(), 4)):
+        spaces.append(ReconfigSpace(g, k))
+    for space in spaces:
+        for sources in _source_sets(space, rng):
+            assert np.array_equal(
+                space.distances_from(sources), multi_source_distances(space, sources)
+            ), (space.graph, space.k, len(sources))
+    big = [space.component_sizes() for space in spaces[-3:] if space.size > 1024]
+    assert len(big) == 3
+    assert any((sizes == 1).any() and (sizes >= 2).any() for sizes in big)
+    assert any((sizes >= 2).sum() >= 2 for sizes in big)
+
+
+def test_distances_from_holds_no_copy_of_the_moves():
+    """One multi-source search on K_{1,5} at k = 6 (18,750 states, 405,720
+    directed moves) allocates less than 4 bytes per directed move beyond the
+    moves themselves: no per-call weight or index copy of the move graph."""
+    space = ReconfigSpace(star_graph(5), 6)
+    _, indices = space.moves
+    assert (space.size, indices.size) == (18_750, 405_720)
+    sources = np.nonzero(space.top_counts == 0)[0]
+    tracemalloc.start()
+    try:
+        space.distances_from(sources)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * indices.size
 
 
 def test_sequence_replay_lands_at_oracle_distance_zero(k4_minus_edge):
