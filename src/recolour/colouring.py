@@ -107,6 +107,12 @@ def apply_sequence(g: Graph, start: Colouring, seq: RecolouringSequence) -> Colo
     carry the 0-based step index.
     """
     require_proper(g, start, "start colouring")
+    return replay(g, start, seq)
+
+
+def replay(g: Graph, start: Colouring, seq: RecolouringSequence) -> Colouring:
+    """:func:`apply_sequence` for a caller that has already checked ``start``
+    proper: every step is validated, the start is not scanned again."""
     cols = list(start.colours)
     for i, (v, colour) in enumerate(seq):
         if not 0 <= v < g.n:

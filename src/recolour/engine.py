@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from .colouring import (
     Colouring,
     RecolouringSequence,
-    apply_sequence,
+    replay,
     require_proper,
 )
 from .degeneracy import (
@@ -331,7 +331,8 @@ def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSe
     Total length is O(n^2).  Both inputs are checked proper on entry, and
     every elimination step is checked proper as it is made; the parking and
     palette-3 steps are not checked as they are built.  The whole sequence is
-    then replayed once, which checks every step and the final colouring.
+    then replayed once from the checked start, which checks every step and
+    the final colouring without scanning the start again.
     """
     if not g.is_connected():
         raise GraphDisconnectedError("path construction requires a connected graph")
@@ -349,7 +350,7 @@ def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSe
 
     # _eliminate checks degeneracy <= D-1, which the middle segment needs too
     seq = RecolouringSequence(tuple(_connect(g, list(a.colours), list(b.colours), delta + 1)))
-    final = apply_sequence(g, a, seq)
+    final = replay(g, a, seq)
     if final.colours != b.colours:
         raise AssertionError("pipeline did not end at the target colouring")
     return seq

@@ -14,10 +14,15 @@ an independent check on the constructive algorithms.  numpy carries the
 state arrays.  The moves are held once, as one symmetric int32 CSR
 (:attr:`ReconfigSpace.moves`).  scipy's sparse-graph routines read it as a
 directed graph without converting it, which spares them a transpose per
-call, and find only the components and the shortest walks that
-:func:`oracle_path` prints.  Distances and diameters come from one
+call, and find only the components and the breadth-first tree from which
+:func:`oracle_path` reads its walks.  Distances and diameters come from one
 bit-parallel level search over numpy words (:meth:`ReconfigSpace._levels`).
 The only guard is a cap on the raw state count k**n.
+
+The walk that :func:`oracle_path` prints from a to b is the path to b in
+the FIFO breadth-first tree from a.  Each state's moves are scanned in CSR
+order, which is (vertex, new colour), and a state's parent is the first
+state that reaches it.  A tree path is a shortest walk.
 
 States are interned as base-k integers of their colour vectors, which makes
 the lexicographic enumeration order coincide with ascending codes.
@@ -47,8 +52,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _sparse_components
-from scipy.sparse.csgraph import dijkstra
 
 from .colouring import Colouring, RecolouringSequence, require_proper
 from .errors import StateSpaceInvariantError, StateSpaceLimitError
@@ -419,21 +424,21 @@ class ReconfigGraphSummary:
 def oracle_path(
     g: Graph, k: int, a: Colouring, b: Colouring, limit: int = DEFAULT_STATE_LIMIT
 ) -> RecolouringSequence | None:
-    """A shortest recolouring sequence from ``a`` to ``b``, None if unreachable."""
+    """A shortest recolouring sequence from ``a`` to ``b``, None if unreachable.
+
+    The sequence is the path to ``b`` in the breadth-first tree from ``a``
+    (see the module docstring).
+    """
     if a.k != k or b.k != k:
         raise ValueError(f"colourings must use palette {k}")
     require_proper(g, a)
     require_proper(g, b)
     space = ReconfigSpace.of(g, k, limit)
     ia, ib = space.index_of(a), space.index_of(b)
-    dist, pred = dijkstra(
-        space._csgraph,
-        directed=True,
-        indices=ia,
-        unweighted=True,
-        return_predecessors=True,
+    _, pred = breadth_first_order(
+        space._csgraph, ia, directed=True, return_predecessors=True
     )
-    if np.isinf(dist[ib]):
+    if ib != ia and pred[ib] < 0:
         return None
     chain = [ib]
     while chain[-1] != ia:

@@ -7,6 +7,7 @@ them is used by the package itself.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -127,3 +128,36 @@ def one_vertex_components(space) -> np.ndarray:
             labels = least[clique]
         if np.array_equal(labels, before):
             return labels
+
+
+def bfs_tree_walk(adj, k, a, b):
+    """The walk from colouring ``a`` to ``b`` along the FIFO breadth-first
+    tree from ``a``, as ``(vertex, new colour)`` steps; None when ``b`` is
+    unreachable.
+
+    ``adj`` lists each vertex's neighbours and ``a``, ``b`` are colour
+    tuples over 1..k.  A state's recolourings are generated vertex by vertex
+    and, per vertex, colour by colour; a state's parent is the first state
+    that reaches it.
+    """
+    a, b = tuple(a), tuple(b)
+    parent = {a: None}
+    queue = deque([a])
+    while queue and b not in parent:
+        x = queue.popleft()
+        for v, nbrs in enumerate(adj):
+            taken = {x[u] for u in nbrs}
+            for colour in range(1, k + 1):
+                if colour == x[v] or colour in taken:
+                    continue
+                y = x[:v] + (colour,) + x[v + 1 :]
+                if y not in parent:
+                    parent[y] = (x, (v, colour))
+                    queue.append(y)
+    if b not in parent:
+        return None
+    steps = []
+    while parent[b] is not None:
+        b, step = parent[b]
+        steps.append(step)
+    return tuple(reversed(steps))

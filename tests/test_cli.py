@@ -95,6 +95,38 @@ def test_path_oracle_fallback(tmp_path, capsys):
     assert payload["valid"] is True and payload["steps"] >= 1
 
 
+def test_path_oracle_extraction_past_the_limit(tmp_path, capsys):
+    # P3 at k = 4 = D+2 is decided yes without enumerating; 4**3 raw states
+    # are past the limit, so no walk is extracted
+    code = main([
+        "path",
+        "--graph", write(tmp_path, "g.txt", format_graph(path_graph(3))),
+        "--colouring-a", write(tmp_path, "a.txt", colouring_to_text(Colouring(4, (1, 2, 1)))),
+        "--colouring-b", write(tmp_path, "b.txt", colouring_to_text(Colouring(4, (3, 4, 3)))),
+        "--limit", "10",
+    ])
+    assert code == 3
+    assert capsys.readouterr().out == (
+        "path exists (TrivialYes) but extraction exceeds the limit: "
+        "state space 64 exceeds limit 10\n"
+    )
+
+
+def test_path_oracle_disagreeing_with_the_decision(tmp_path, capsys, monkeypatch):
+    """A yes decision with no oracle walk is reported on stderr, exit 1."""
+    monkeypatch.setattr(cli, "oracle_path", lambda *args: None)
+    code = main([
+        "path",
+        "--graph", write(tmp_path, "g.txt", format_graph(path_graph(3))),
+        "--colouring-a", write(tmp_path, "a.txt", colouring_to_text(Colouring(3, (1, 2, 1)))),
+        "--colouring-b", write(tmp_path, "b.txt", colouring_to_text(Colouring(3, (2, 1, 2)))),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal disagreement between decision and oracle\n"
+
+
 WALK_TEXT = "steps: 4\n1 3\n0 2\n2 2\n1 1\n"
 WALK_JSON = '{"steps": 4, "sequence": [[1, 3], [0, 2], [2, 2], [1, 1]], "valid": true}\n'
 

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recolour import colouring
 from recolour.colouring import (
     Colouring,
     RecolouringSequence,
     apply_sequence,
+    is_proper,
 )
 from recolour.corpus import random_proper_colouring, random_walk_sequence
 from recolour.degeneracy import degeneracy
@@ -26,6 +28,7 @@ from recolour.errors import (
     DegeneracyTooHighError,
     GraphDisconnectedError,
     GraphIsRegularError,
+    ImproperInputError,
     MaxDegreeTooSmallError,
     ScratchColourInUseError,
 )
@@ -296,6 +299,26 @@ def test_find_path_k4_minus_edge(k4_minus_edge):
     assert apply_sequence(g, a, seq).colours == b.colours
     assert len(seq) <= 3 * g.n ** 2 + 2 * g.n * g.max_degree
     assert oracle_path(g, 4, a, b) is not None
+
+
+def test_find_path_scans_each_input_once(k4_minus_edge, monkeypatch):
+    """Each input is scanned for properness once, on entry; the final replay
+    checks every step but not the start again."""
+    g = k4_minus_edge
+    a = Colouring(4, (1, 2, 3, 3))
+    b = Colouring(4, (4, 1, 2, 2))
+    scanned = []
+
+    def counting(g, c):
+        scanned.append(c)
+        return is_proper(g, c)
+
+    monkeypatch.setattr(colouring, "is_proper", counting)
+    seq = find_path_non_regular(g, a, b)
+    assert scanned == [a, b]
+    assert apply_sequence(g, a, seq).colours == b.colours
+    with pytest.raises(ImproperInputError, match="first colouring is not proper"):
+        find_path_non_regular(g, Colouring(4, (1, 1, 3, 3)), b)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,11 +10,16 @@ final colouring of ``eliminate_top_colour`` and the first round that
 ``elimination_plan`` reports, from seeded colourings of every small corpus
 graph.
 
-The oracle hashes pin the exhaustive route: the decisions, the shortest walks
-that ``oracle_path`` reads off scipy's predecessors (which of several shortest
-walks it prints rests on scipy's tie-breaks), and the explore summaries.
+The oracle hashes pin the exhaustive route on seeded pairs, in two sets.
+The decisions were recorded while ``oracle_path`` still read its walks off
+scipy's ``dijkstra`` predecessors, and hold unchanged since.  The walks are
+the path to b in the FIFO breadth-first tree from a, which
+``tests/reference.py::bfs_tree_walk`` recomputes on its own; they were
+re-recorded when ``oracle_path`` moved to that tree.  The explore summaries
+are pinned as well.
 """
 
+import functools
 import hashlib
 import random
 
@@ -27,6 +32,7 @@ from recolour.degeneracy import degeneracy, degeneracy_ordering
 from recolour.engine import eliminate_top_colour, elimination_plan, find_path_non_regular
 from recolour.explorer import ReconfigSpace, oracle_path
 from recolour.graph import Graph
+from reference import bfs_tree_walk
 
 # n -> SHA-256 of (order, back_degree) over every corpus graph on n vertices
 ORDERING_HASHES = {
@@ -68,14 +74,23 @@ ELIMINATION_HASHES = {
     7: "882ab2a99ef554583ca7c57ecc9864114c3a9c3daba734965503b9309b1be8d8",  # 6808 starts, 8125 steps
 }
 
-# n -> SHA-256 of (answer, reason, oracle walk) for seeded pairs of every
-# corpus graph on n vertices at every palette 3..D+2
-ORACLE_HASHES = {
-    2: "77ef16f550041b1ab932736b982e7aeda1fded9cc2e845f83ad1503907b2362f",  # 4 pairs, 7 steps
-    3: "57794135b3f8f7eaf141215ad9f312746db80d4601fc96337ac1931259a0936b",  # 16 pairs, 30 steps
-    4: "a62c9a888b2d6a8c98b01da90b09a8bd389c5699e0f3bcb8efd6e777ee4cade0",  # 60 pairs, 159 steps
-    5: "6819eae2ba222e1e5ea33aaa55bc2e71bc2d0653c5abf2a219bfceeb79a66e81",  # 268 pairs, 903 steps
-    6: "3fabb68b136383a0ceac517b2980e43afd398a13c80d97a27405eac488092e89",  # 1656 pairs, 6774 steps
+# n -> SHA-256 of the (answer, reason) of the decisions on seeded pairs of
+# every corpus graph on n vertices at every palette 3..D+2
+ORACLE_DECISION_HASHES = {
+    2: "44865ad806900af70b3c975dbd08a24d6972550bf96cca95c83978d6e87c23c4",  # 4 pairs
+    3: "9c6292d1cb3b3fbca801013c6374ed39797136e2f9dd200c0d88cdd357b219df",  # 16 pairs
+    4: "7b5872d34a4a25b949730aaaa6edad47d2dfb9d81b5d5b407f12b19cac6c31cd",  # 60 pairs
+    5: "7a0b7358a87e4ad6fd813036844d53162557436de6e7ab8e0cba18ae093784c7",  # 268 pairs
+    6: "b479e96bff06e3fd1afb877b0c9415a1b3428495b0a90854b842b42c5cf64b01",  # 1656 pairs
+}
+
+# n -> SHA-256 of the oracle walks on the same pairs
+ORACLE_WALK_HASHES = {
+    2: "006eb848d0aff7c4f8a356467e347d567bbd7f85efdde30916f810986c54d4f4",  # 7 steps
+    3: "cbea88c7bba3f93f5fafc4c3466a23fda85a084b945b6fbdeee5dde9142b513a",  # 30 steps
+    4: "6800d27f5eea9a07d5a63da08b29590526c5ae5f9cc195691445da2e890dd8e8",  # 159 steps
+    5: "f1a4ce7319a76cac5af27fde0a0bddacb47f3bd1c44521cdf1c67e0ec4a669fa",  # 903 steps
+    6: "c27f7211eb481490bda46996ed34fb94b130383808bf0a7852275816a2a4cb77",  # 6774 steps
 }
 
 # n -> SHA-256 of the explore summaries of every corpus graph on n vertices
@@ -172,7 +187,9 @@ def test_eliminations_match_golden(n):
     assert _digest(eliminations(n)) == ELIMINATION_HASHES[n]
 
 
+@functools.cache
 def oracle_answers(n: int) -> list:
+    """(graph, palette, a, b, decision, walk steps or None) per seeded pair."""
     rng = random.Random(f"oracle/{n}")
     answers = []
     for g in corpus(n, n):
@@ -183,15 +200,25 @@ def oracle_answers(n: int) -> list:
                 b = space.colouring_at(rng.randrange(space.size))
                 decision = decide_k_colour_path(g, k, a, b)
                 walk = oracle_path(g, k, a, b)
-                answers.append((
-                    decision.answer, decision.reason, None if walk is None else walk.steps
-                ))
+                answers.append((g, k, a, b, decision, None if walk is None else walk.steps))
     return answers
 
 
-@pytest.mark.parametrize("n", sorted(ORACLE_HASHES))
+@pytest.mark.parametrize("n", sorted(ORACLE_DECISION_HASHES))
+def test_oracle_decisions_match_golden(n):
+    decisions = [(d.answer, d.reason) for *_, d, _ in oracle_answers(n)]
+    assert _digest(decisions) == ORACLE_DECISION_HASHES[n]
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_WALK_HASHES))
 def test_oracle_walks_match_golden(n):
-    assert _digest(oracle_answers(n)) == ORACLE_HASHES[n]
+    assert _digest([walk for *_, walk in oracle_answers(n)]) == ORACLE_WALK_HASHES[n]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_oracle_walks_follow_the_bfs_tree(n):
+    for g, k, a, b, _, walk in oracle_answers(n):
+        assert walk == bfs_tree_walk(g.adjacency, k, a.colours, b.colours), (g.edges, k, a, b)
 
 
 @pytest.mark.parametrize("n", sorted(SUMMARY_HASHES))

@@ -89,6 +89,29 @@ def test_every_public_name_has_a_reader():
     assert sorted(set(recolour.__all__) - read) == sorted(UNREAD)
 
 
+def test_scipy_is_read_only_by_the_oracle_searches():
+    """The package reads scipy for the move matrix, the components and the
+    walks' breadth-first tree, all in ``explorer``; any other scipy name,
+    such as ``dijkstra``, would be one more reader to remove before scipy
+    can leave the package."""
+    imported = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {
+                    (path.name, alias.name)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "scipy"
+                }
+    assert imported == {
+        ("explorer.py", "csr_matrix"),
+        ("explorer.py", "connected_components"),
+        ("explorer.py", "breadth_first_order"),
+    }
+
+
 def test_readme_library_tour_runs():
     readme = (ROOT / "README.md").read_text()
     tour = re.search(r"^## Library tour\n.*?^```python\n(.*?)^```", readme, re.M | re.S)
