@@ -5,8 +5,8 @@ Library layout:
 * :mod:`recolour.graph`, :mod:`recolour.colouring` -- graphs, colourings,
   properness and frozenness, recolouring sequences and the file formats;
 * :mod:`recolour.degeneracy` -- degeneracy orderings and prescribed-budget
-  partitions (the package attribute is this module; the function is
-  :func:`recolour.degeneracy.degeneracy`);
+  partitions (the package attribute is this module; a graph's degeneracy is
+  ``degeneracy_ordering(g).degeneracy``);
 * :mod:`recolour.engine` -- the constructive algorithms (scratch swaps,
   top-colour elimination, quadratic walks between colourings);
 * :mod:`recolour.explorer` -- the exhaustive reconfiguration-graph oracle

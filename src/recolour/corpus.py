@@ -1,4 +1,4 @@
-"""Corpus of non-isomorphic connected graphs, canonical forms and samplers.
+"""Corpus of non-isomorphic connected graphs, canonical forms and a sampler.
 
 Canonical form: the minimum, over all vertex permutations, of the edge
 bitmask read in lexicographic pair order (adjacency-matrix minimisation).
@@ -7,9 +7,11 @@ connected graph on n-1 vertices (remove a non-cut vertex, which always
 exists) plus one new vertex with a non-empty attachment, so augmenting every
 canonical (n-1)-vertex graph with every attachment and re-canonicalising
 covers the lot.  Connected counts for n = 1..7: 1, 1, 2, 6, 21, 112, 853.
+:func:`corpus` is the one entry point and the one range check; a single
+order n is ``corpus(n, n)``.
 
-Also here: seeded samplers for proper colourings, used by the verification
-harness and the tests.  Colouring along a degeneracy ordering always leaves
+Also here: a seeded sampler for proper colourings, used by the envelope
+report and the tests.  Colouring along a degeneracy ordering always leaves
 a spare colour once the palette exceeds the degeneracy, so sampling never
 backtracks.
 """
@@ -27,8 +29,6 @@ from .degeneracy import degeneracy_ordering
 from .graph import Graph
 
 MAX_CORPUS_N = 8
-
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 @lru_cache(maxsize=None)
@@ -109,13 +109,6 @@ def _generate_connected(n: int) -> list[Graph]:
     return [_graph_from_code(int(code), n) for code in codes]
 
 
-def connected_graphs(n: int) -> list[Graph]:
-    """All non-isomorphic connected graphs on n vertices, in canonical order."""
-    if not 1 <= n <= MAX_CORPUS_N:
-        raise ValueError(f"corpus generation supports 1 <= n <= {MAX_CORPUS_N}")
-    return list(_generate_connected(n))
-
-
 def corpus(min_n: int = 4, max_n: int = 7) -> list[Graph]:
     """Connected corpus for min_n <= n <= max_n."""
     if not 1 <= min_n <= max_n <= MAX_CORPUS_N:
@@ -126,8 +119,8 @@ def corpus(min_n: int = 4, max_n: int = 7) -> list[Graph]:
 def random_proper_colouring(g: Graph, k: int, rng: random.Random) -> Colouring:
     """A random proper k-colouring, assigned along a degeneracy ordering.
 
-    Needs k > degeneracy(g); every vertex then has a spare colour when its
-    turn comes, so no backtracking ever happens.
+    Needs k above the degeneracy of ``g``; every vertex then has a spare
+    colour when its turn comes, so no backtracking ever happens.
     """
     ordering = degeneracy_ordering(g)
     if k <= ordering.degeneracy:
@@ -139,26 +132,3 @@ def random_proper_colouring(g: Graph, k: int, rng: random.Random) -> Colouring:
         cols[v] = rng.choice(choices)
     return Colouring(k, tuple(cols))
 
-
-def random_walk_sequence(
-    g: Graph, start: Colouring, length: int, rng: random.Random
-) -> list[tuple[int, int]]:
-    """A random valid recolouring walk from ``start`` (may stop early if
-    some intermediate colouring is frozen)."""
-    cols = list(start.colours)
-    steps: list[tuple[int, int]] = []
-    for _ in range(length):
-        options = []
-        for v in range(g.n):
-            blocked = {cols[u] for u in g.adjacency[v]}
-            options.extend(
-                (v, c)
-                for c in range(1, start.k + 1)
-                if c != cols[v] and c not in blocked
-            )
-        if not options:
-            break
-        v, c = rng.choice(options)
-        cols[v] = c
-        steps.append((v, c))
-    return steps

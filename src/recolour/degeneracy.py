@@ -100,10 +100,6 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
     return g.degeneracy_ordering
 
 
-def degeneracy(g: Graph) -> int:
-    return degeneracy_ordering(g).degeneracy
-
-
 @dataclass(frozen=True)
 class DegeneratePartition:
     """Partition of the vertices with per-part degeneracy budgets."""

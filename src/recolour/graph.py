@@ -7,6 +7,9 @@ compare by ``(n, edges)``, so they can key caches.
 
 The edge-list text format is a bit-exact contract: first line ``n m``, then
 exactly ``m`` lines ``u v``.  Self-loops and duplicate edges are rejected.
+
+Named graphs (paths, cycles, stars, the cube, the Petersen graph) are built
+by the tests, in ``tests/conftest.py``; the program reads none of them.
 """
 
 from __future__ import annotations
@@ -184,46 +187,3 @@ def format_graph(g: Graph) -> str:
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
 
-
-# Small named graphs used throughout the tests and docs.
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def complete_graph_minus_edge(n: int) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges.remove((n - 2, n - 1))
-    return Graph.from_edges(n, edges)
-
-
-def cube_graph() -> Graph:
-    """The 3-dimensional hypercube; vertices are 3-bit strings."""
-    edges = []
-    for v in range(8):
-        for bit in (1, 2, 4):
-            w = v ^ bit
-            if v < w:
-                edges.append((v, w))
-    return Graph.from_edges(8, edges)
-
-
-def petersen_graph() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, outer + spokes + inner)

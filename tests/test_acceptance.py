@@ -17,8 +17,8 @@ import pytest
 
 from recolour.classifier import decide_k_colour_path, frozen_census, winding_sum, cycle_orientation
 from recolour.colouring import Colouring, apply_sequence, is_frozen
-from recolour.corpus import corpus, random_proper_colouring, random_walk_sequence
-from recolour.degeneracy import degeneracy, degenerate_partition
+from recolour.corpus import corpus, random_proper_colouring
+from recolour.degeneracy import degeneracy_ordering, degenerate_partition
 from recolour.engine import (
     RecolouringSequence,
     eliminate_top_colour,
@@ -28,8 +28,9 @@ from recolour.engine import (
     reverse_sequence,
 )
 from recolour.explorer import ReconfigSpace
-from recolour.graph import Graph, complete_graph, cube_graph, cycle_graph
+from recolour.graph import Graph
 
+from conftest import complete_graph, cube_graph, cycle_graph, random_walk_sequence
 from reference import brute_force_degeneracy
 
 ACCEPT_SEED = 20260810
@@ -128,7 +129,7 @@ def test_criterion_3_partition_validity(full_corpus):
     started = time.time()
     checked = 0
     for g in full_corpus:
-        k = degeneracy(g)
+        k = degeneracy_ordering(g).degeneracy
         budget_sets = []
         total2 = k - 1
         if total2 >= 0:
@@ -373,7 +374,7 @@ def test_criterion_9_round_trips():
         ]
         g = Graph.from_edges(n, edges)
         k = g.max_degree + 1
-        if k < 3 or degeneracy(g) >= k - 1:
+        if k < 3 or degeneracy_ordering(g).degeneracy >= k - 1:
             continue
         low = random_proper_colouring(g, k - 1, rng)
         c = Colouring(k, low.colours)  # scratch colour unused

@@ -19,13 +19,9 @@ from recolour.colouring import Colouring
 from recolour.corpus import random_proper_colouring
 from recolour.errors import ImproperInputError, StateSpaceLimitError
 from recolour.explorer import ReconfigSpace
-from recolour.graph import (
-    Graph,
-    complete_graph,
-    cube_graph,
-    cycle_graph,
-    path_graph,
-)
+from recolour.graph import Graph
+
+from conftest import complete_graph, cube_graph, cycle_graph, path_graph, star_graph
 
 FROZEN_C6 = Colouring(3, (1, 2, 3, 1, 2, 3))
 
@@ -111,8 +107,6 @@ def test_decide_delta_plus_one_on_complete_graph():
 
 
 def test_decide_oracle_regime():
-    from recolour.graph import star_graph
-
     g = star_graph(4)  # max degree 4 >= k = 4: oracle territory
     a = Colouring(4, (1, 2, 2, 2, 2))
     b = Colouring(4, (2, 1, 1, 1, 1))

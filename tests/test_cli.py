@@ -19,14 +19,14 @@ from recolour.colouring import (
     sequence_to_text,
     RecolouringSequence,
 )
-from recolour.corpus import connected_graphs
+from recolour.corpus import corpus
 from recolour.explorer import CheckReport
-from recolour.graph import (
-    Graph,
+from recolour.graph import Graph, format_graph
+
+from conftest import (
     complete_graph,
     complete_graph_minus_edge,
     cycle_graph,
-    format_graph,
     path_graph,
     star_graph,
 )
@@ -198,8 +198,6 @@ def test_path_provable_negative_on_complete_graph(tmp_path):
 
 
 def test_path_inconclusive_limit(tmp_path):
-    from recolour.graph import star_graph
-
     g = star_graph(4)  # max degree 4 >= k: oracle regime, limit blocks it
     code = main([
         "path",
@@ -365,7 +363,7 @@ def test_verify_corpus_writes_one_reproducer_per_failure(tmp_path, capsys, monke
     written = sorted(p.name for p in tmp_path.glob("r-*.txt"))
     assert written == sorted(
         f"r-g{i:04d}-n4-m{g.m}-{check}.txt"
-        for i, g in enumerate(connected_graphs(4))
+        for i, g in enumerate(corpus(4, 4))
         for check in ("always-fails", "fails-too")
     )
     for name in written:

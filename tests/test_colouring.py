@@ -15,7 +15,7 @@ from recolour.colouring import (
     sequence_from_text,
     sequence_to_text,
 )
-from recolour.corpus import random_proper_colouring, random_walk_sequence
+from recolour.corpus import random_proper_colouring
 from recolour.errors import (
     ColouringParseError,
     ImproperIntermediateError,
@@ -24,7 +24,7 @@ from recolour.errors import (
 )
 from recolour.explorer import ReconfigSpace
 
-from conftest import random_graph
+from conftest import random_graph, random_walk_sequence
 from reference import vertex_state
 
 

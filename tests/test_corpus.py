@@ -5,29 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recolour.colouring import is_proper
-from recolour.corpus import (
-    CONNECTED_COUNTS,
-    connected_graphs,
-    corpus,
-    random_proper_colouring,
-)
-from recolour.degeneracy import degeneracy
-from recolour.graph import Graph, cycle_graph, path_graph
+from recolour.corpus import MAX_CORPUS_N, corpus, random_proper_colouring
+from recolour.degeneracy import degeneracy_ordering
+from recolour.graph import Graph
 
-from conftest import random_graph
+from conftest import cycle_graph, path_graph, random_graph
 from reference import canonical_code
+
+# Connected graphs on n unlabelled vertices (OEIS A001349).
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_connected_counts_small(n):
-    graphs = connected_graphs(n)
+    graphs = corpus(n, n)
     assert len(graphs) == CONNECTED_COUNTS[n]
     for g in graphs:
         assert g.n == n and g.is_connected()
 
 
 def test_connected_count_7():
-    assert len(connected_graphs(7)) == CONNECTED_COUNTS[7]
+    assert len(corpus(7, 7)) == CONNECTED_COUNTS[7]
 
 
 def test_corpus_matches_networkx_atlas():
@@ -39,11 +37,11 @@ def test_corpus_matches_networkx_atlas():
             atlas[g.n].append(canonical_code(g))
     for n, codes in atlas.items():
         assert len(set(codes)) == len(codes) == CONNECTED_COUNTS[n]
-        assert {canonical_code(g) for g in connected_graphs(n)} == set(codes)
+        assert {canonical_code(g) for g in corpus(n, n)} == set(codes)
 
 
 def test_no_isomorphic_duplicates():
-    graphs = connected_graphs(5)
+    graphs = corpus(5, 5)
     codes = [canonical_code(g) for g in graphs]
     assert len(set(codes)) == len(codes)
 
@@ -69,11 +67,21 @@ def test_corpus_range_and_order():
     assert [g.n for g in graphs] == sorted(g.n for g in graphs)
 
 
+@pytest.mark.parametrize(
+    "min_n, max_n",
+    [(0, 3), (1, MAX_CORPUS_N + 1), (5, 4)],
+    ids=["min-below-one", "max-above-cap", "min-above-max"],
+)
+def test_corpus_rejects_bad_range(min_n, max_n):
+    with pytest.raises(ValueError, match="min_n <= max_n"):
+        corpus(min_n, max_n)
+
+
 def test_sampler_properness():
     rng = random.Random(0)
     for _ in range(50):
         g = random_graph(rng, rng.randrange(1, 8))
-        k = degeneracy(g) + 1 + rng.randrange(2)
+        k = degeneracy_ordering(g).degeneracy + 1 + rng.randrange(2)
         c = random_proper_colouring(g, k, rng)
         assert is_proper(g, c)
         assert c.k == k

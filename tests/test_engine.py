@@ -11,8 +11,8 @@ from recolour.colouring import (
     apply_sequence,
     is_proper,
 )
-from recolour.corpus import random_proper_colouring, random_walk_sequence
-from recolour.degeneracy import degeneracy
+from recolour.corpus import random_proper_colouring
+from recolour.degeneracy import degeneracy_ordering
 from recolour.engine import (
     KempeComponent,
     _path_with_scratch,
@@ -33,9 +33,9 @@ from recolour.errors import (
     ScratchColourInUseError,
 )
 from recolour.explorer import oracle_path
-from recolour.graph import Graph, path_graph, star_graph
+from recolour.graph import Graph
 
-from conftest import random_graph
+from conftest import path_graph, random_graph, random_walk_sequence, star_graph
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_double_swap_is_identity():
             break
         g = random_graph(rng, rng.randrange(3, 8))
         k = g.max_degree + 1
-        if k < 3 or degeneracy(g) >= k - 1:
+        if k < 3 or degeneracy_ordering(g).degeneracy >= k - 1:
             continue
         low = random_proper_colouring(g, k - 1, rng)
         c = Colouring(k, low.colours)  # top colour unused anywhere
@@ -272,7 +272,7 @@ def test_path_between_random(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randrange(2, 8))
     delta = g.max_degree
-    if delta < 1 or degeneracy(g) > delta - 1:
+    if delta < 1 or degeneracy_ordering(g).degeneracy > delta - 1:
         return
     c1 = random_proper_colouring(g, delta, rng)
     c2 = random_proper_colouring(g, delta, rng)

@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import dijkstra
 
 import recolour
 from recolour.colouring import Colouring, apply_sequence, is_frozen
-from recolour.corpus import connected_graphs, random_proper_colouring
+from recolour.corpus import corpus, random_proper_colouring
 from recolour.engine import find_path_non_regular
 from recolour.errors import StateSpaceInvariantError, StateSpaceLimitError
 from recolour.explorer import (
@@ -26,17 +26,17 @@ from recolour.explorer import (
     verify_theorem_delta_plus_one,
     verify_theorem_main,
 )
-from recolour.graph import (
-    Graph,
+from recolour.graph import Graph
+
+from conftest import (
     complete_graph,
     cube_graph,
     cycle_graph,
     path_graph,
     petersen_graph,
+    random_graph,
     star_graph,
 )
-
-from conftest import random_graph
 from reference import (
     canonical_eccentricities,
     multi_source_distances,
@@ -112,13 +112,12 @@ def test_component_labels_match_label_propagation():
     """The same partition as an independent propagation over one-vertex
     moves, on every corpus space with n <= 6 at palette D+1.  Labels are
     compared as partitions: their numbering is scipy's."""
-    for n in range(1, 7):
-        for g in connected_graphs(n):
-            space = ReconfigSpace(g, g.max_degree + 1)
-            count, labels = space.component_labels
-            expected = one_vertex_components(space)
-            assert count == np.unique(expected).size
-            assert len(set(zip(labels.tolist(), expected.tolist()))) == count
+    for g in corpus(1, 6):
+        space = ReconfigSpace(g, g.max_degree + 1)
+        count, labels = space.component_labels
+        expected = one_vertex_components(space)
+        assert count == np.unique(expected).size
+        assert len(set(zip(labels.tolist(), expected.tolist()))) == count
 
 
 def test_distance_examples(p3, c6):
@@ -268,8 +267,7 @@ def test_distances_from_matches_scipy():
     rng = random.Random(8)
     spaces = [
         ReconfigSpace(g, k)
-        for n in range(1, 7)
-        for g in connected_graphs(n)
+        for g in corpus(1, 6)
         for k in (g.max_degree + 1, g.max_degree + 2)
     ]
     for g, k in ((cycle_graph(10), 3), (cycle_graph(12), 3), (cube_graph(), 4)):
@@ -364,7 +362,7 @@ def test_verify_lemma_cubic2_small():
     # top-coloured vertices that is not frozen (two such vertices at
     # distance >= 3 with locked closed neighbourhoods need more room), so
     # the check passes vacuously; frozen here as an exhaustive fact
-    for g in connected_graphs(5) + connected_graphs(6):
+    for g in corpus(5, 6):
         if g.max_degree < 3:
             continue
         report = verify_lemma_cubic2(g, limit=100_000)
@@ -401,23 +399,21 @@ def test_verify_lemma_first_small(c6, cube):
 def test_connectivity_above_top_palette():
     """With palette >= max degree + 2, the reconfiguration graph of every
     small connected graph is one component."""
-    for n in range(2, 6):
-        for g in connected_graphs(n):
-            k = g.max_degree + 2
-            space = ReconfigSpace(g, k, limit=300_000)
-            count, _ = space.component_labels
-            assert count == 1
+    for g in corpus(2, 5):
+        k = g.max_degree + 2
+        space = ReconfigSpace(g, k, limit=300_000)
+        count, _ = space.component_labels
+        assert count == 1
 
 
 def test_diameter_ratio_above_top_palette():
     worst = 0.0
-    for n in range(2, 5):
-        for g in connected_graphs(n):
-            k = g.max_degree + 2
-            summary = ReconfigSpace(g, k, limit=50_000).summary()
-            assert len(summary.components) == 1
-            size, diameter = summary.components[0]
-            worst = max(worst, diameter / (g.n * g.n))
+    for g in corpus(2, 4):
+        k = g.max_degree + 2
+        summary = ReconfigSpace(g, k, limit=50_000).summary()
+        assert len(summary.components) == 1
+        size, diameter = summary.components[0]
+        worst = max(worst, diameter / (g.n * g.n))
     assert worst <= 2.0  # loose desk-scale envelope, recorded not assumed
 
 
@@ -437,7 +433,7 @@ def test_reduced_states_keep_top_colours_apart():
     common neighbour would be locked yet see the top colour twice."""
     shared = 0
     for n in range(1, 7):
-        for g in connected_graphs(n):
+        for g in corpus(n, n):
             space = ReconfigSpace(g, g.max_degree + 1)
             top = space.matrix == space.k
             reduced = space.reduced_mask
@@ -494,7 +490,7 @@ def _diameter_spaces(state_cap=1_000):
     most ``state_cap`` proper colourings; at n = 7 only k**n <= 100,000 is
     enumerated, which keeps the scan for small spaces cheap."""
     for n in range(1, 8):
-        for g in connected_graphs(n):
+        for g in corpus(n, n):
             for k in (g.max_degree + 1, g.max_degree + 2):
                 try:
                     space = ReconfigSpace(g, k, limit=100_000 if n == 7 else 2_000_000)
@@ -586,9 +582,12 @@ def test_invariant_guards_hold_under_optimize():
         "from recolour.engine import _flip_path_components, _path_with_scratch\n"
         "from recolour.errors import StateSpaceInvariantError\n"
         "from recolour.explorer import ReconfigSpace\n"
-        "from recolour.graph import Graph, cycle_graph, path_graph, star_graph\n"
+        "from recolour.graph import Graph\n"
+        "p3 = Graph.from_edges(3, [(0, 1), (1, 2)])\n"
+        "c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])\n"
+        "star3 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])\n"
         "for drop, member in ((0, 'canonical_index'), (11, 'moves')):\n"
-        "    space = ReconfigSpace(path_graph(3), 3)\n"
+        "    space = ReconfigSpace(p3, 3)\n"
         "    keep = np.arange(space.size) != drop\n"
         "    space.matrix, space.codes = space.matrix[keep], space.codes[keep]\n"
         "    try:\n"
@@ -598,16 +597,16 @@ def test_invariant_guards_hold_under_optimize():
         "lollipop = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)])\n"
         "cases = {\n"
         "    'flip-cycle': lambda: _flip_path_components(\n"
-        "        cycle_graph(4), [1, 2, 1, 2], [2, 1, 2, 1]),\n"
+        "        c4, [1, 2, 1, 2], [2, 1, 2, 1]),\n"
         "    'flip-not-a-path': lambda: _flip_path_components(\n"
         "        lollipop, [1, 2, 1, 2, 1], [2, 1, 2, 1, 2]),\n"
         "    'flip-agreeing-vertex': lambda: _flip_path_components(\n"
-        "        path_graph(3), [1, 2, 1], [2, 1, 1]),\n"
+        "        p3, [1, 2, 1], [2, 1, 1]),\n"
         "    'scratch-degree': lambda: _path_with_scratch(\n"
-        "        star_graph(3), [1, 2, 2, 2], [2, 1, 1, 1], 3),\n"
+        "        star3, [1, 2, 2, 2], [2, 1, 1, 1], 3),\n"
         "    'scratch-top-colour': lambda: _path_with_scratch(\n"
-        "        path_graph(3), [1, 2, 3], [1, 2, 1], 3),\n"
-        "    'cycle-orientation': lambda: cycle_orientation(path_graph(3), (0, 1, 2)),\n"
+        "        p3, [1, 2, 3], [1, 2, 1], 3),\n"
+        "    'cycle-orientation': lambda: cycle_orientation(p3, (0, 1, 2)),\n"
         "    'winding-sum': lambda: winding_sum([0, 1, 2], Colouring(3, (1, 1, 2))),\n"
         "}\n"
         "for label, call in cases.items():\n"

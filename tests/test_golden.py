@@ -28,7 +28,7 @@ import pytest
 from recolour.classifier import decide_k_colour_path
 from recolour.colouring import Colouring
 from recolour.corpus import corpus, random_proper_colouring
-from recolour.degeneracy import degeneracy, degeneracy_ordering
+from recolour.degeneracy import degeneracy_ordering
 from recolour.engine import eliminate_top_colour, elimination_plan, find_path_non_regular
 from recolour.explorer import ReconfigSpace, oracle_path
 from recolour.graph import Graph
@@ -169,7 +169,7 @@ def eliminations(n: int) -> list:
     out = []
     for g in corpus(n, n):
         palettes = [g.max_degree + 2]
-        if degeneracy(g) <= g.max_degree - 1:
+        if degeneracy_ordering(g).degeneracy <= g.max_degree - 1:
             palettes.insert(0, g.max_degree + 1)
         for k in palettes:
             for _ in range(ELIMINATION_STARTS):

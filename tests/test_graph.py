@@ -5,16 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recolour.errors import GraphParseError
-from recolour.graph import (
-    Graph,
-    complete_graph,
-    connected_components,
-    format_graph,
-    parse_graph,
-    path_graph,
-)
+from recolour.graph import Graph, connected_components, format_graph, parse_graph
 
-from conftest import random_graph
+from conftest import complete_graph, path_graph, random_graph
 
 
 def test_parse_path():

@@ -8,9 +8,10 @@ import recolour
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The package's public names.  A name added here should have a reader in
-# the program, the scripts or the benchmark, not only in its own tests
-# (test_every_public_name_has_a_reader checks it).
+# The package's public names.  Like every public module-level name in src/,
+# a name added here should have a reader in the program, the scripts or the
+# benchmark, not only in its own tests (test_every_public_name_has_a_reader
+# checks it).
 PUBLIC = [
     "CheckReport",
     "Colouring",
@@ -57,8 +58,8 @@ def test_public_surface_is_pinned():
     assert sorted(recolour.__all__) == PUBLIC
 
 
-# Public names with no reader in the program, the scripts or the benchmark,
-# each kept for its reason.
+# Module-level names with no reader in the program, the scripts or the
+# benchmark, each kept for its reason.
 UNREAD = {
     "colouring_to_text": "the writer half of the colouring file format",
     "kempe_swap_via_scratch": "acceptance criterion 9 round-trips a scratch swap",
@@ -79,14 +80,48 @@ def read_names(path: Path) -> set[str]:
     return names
 
 
+def bound_names(path: Path) -> set[str]:
+    """Non-private names that ``path`` binds at module level by ``def``,
+    ``class`` or assignment, also inside a top-level ``if`` or ``try``.
+    Imports are left out: they rebind a name that another module binds."""
+    names = set()
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(
+                    n.id
+                    for target in targets
+                    for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                )
+            elif isinstance(node, (ast.If, ast.Try)):
+                visit(node.body)
+                visit(node.orelse)
+
+    visit(ast.parse(path.read_text(), str(path)).body)
+    return {name for name in names if name[0] != "_"}
+
+
 def test_every_public_name_has_a_reader():
-    init = Path(recolour.__file__).resolve()
+    """Each public name that a module of the package binds is read by the
+    program, the scripts or the benchmark; a name that only tests read
+    belongs in ``tests/``.  The re-exports in ``__init__`` are not reads."""
+    package = Path(recolour.__file__).resolve().parent
     read = set()
     for top in ("src", "scripts", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
-            if path.resolve() != init:
+            if path.resolve() != package / "__init__.py":
                 read |= read_names(path)
-    assert sorted(set(recolour.__all__) - read) == sorted(UNREAD)
+    unread = [
+        f"recolour.{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in sorted(bound_names(path) - read)
+    ]
+    assert unread == sorted(f"{getattr(recolour, name).__module__}.{name}" for name in UNREAD)
 
 
 def test_scipy_is_read_only_by_the_oracle_searches():
