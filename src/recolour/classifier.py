@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .colouring import Colouring, is_frozen, require_proper
+from .colouring import Colouring, frozen_on, require_proper
 from .errors import StateSpaceLimitError
 from .explorer import DEFAULT_STATE_LIMIT, ReconfigSpace
 from .graph import Graph, connected_components
@@ -94,7 +94,7 @@ def decide_k_colour_path(
     require_proper(g, a, "first colouring")
     require_proper(g, b, "second colouring")
     if a.colours == b.colours:
-        if is_frozen(g, a):
+        if frozen_on(g, a, range(g.n)):
             return PathDecision(True, REASON_FROZEN_EQUAL)
         return PathDecision(True, REASON_TRIVIAL_YES)
 
@@ -119,16 +119,12 @@ def decide_k_colour_path(
     if k >= 4 and delta == k - 1:
         frozen_witnesses = []
         for comp in comps:
-            sub, labels = g.induced_subgraph(comp)
-            ra = Colouring(k, tuple(a.colours[v] for v in labels))
-            rb = Colouring(k, tuple(b.colours[v] for v in labels))
-            if ra.colours == rb.colours:
-                if is_frozen(sub, ra):
+            # neighbours of a component's vertices stay inside the component
+            if all(a.colours[v] == b.colours[v] for v in comp):
+                if frozen_on(g, a, comp):
                     frozen_witnesses.append(comp)
                 continue
-            if sub.max_degree <= k - 2:
-                continue
-            if is_frozen(sub, ra) or is_frozen(sub, rb):
+            if frozen_on(g, a, comp) or frozen_on(g, b, comp):
                 return PathDecision(False, REASON_FROZEN_DISTINCT, (comp,))
         if frozen_witnesses:
             return PathDecision(True, REASON_FROZEN_EQUAL, tuple(frozen_witnesses))

@@ -30,7 +30,6 @@ from pathlib import Path
 from .classifier import decide_k_colour_path, frozen_census
 from .colouring import (
     Colouring,
-    RecolouringSequence,
     apply_sequence,
     colouring_from_text,
     sequence_from_text,
@@ -39,7 +38,10 @@ from .colouring import (
 from .corpus import corpus
 from .engine import find_path_non_regular
 from .errors import (
+    GraphDisconnectedError,
+    GraphIsRegularError,
     ImproperIntermediateError,
+    MaxDegreeTooSmallError,
     NoOpStepError,
     RecolourError,
     StateSpaceLimitError,
@@ -149,18 +151,12 @@ def cmd_path(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     k = a.k
 
-    delta = g.max_degree
-    constructive = (
-        g.n > 0
-        and k == delta + 1
-        and delta >= 3
-        and g.is_connected()
-        and not g.is_regular()
-    )
-    if constructive:
-        seq = find_path_non_regular(g, a, b)  # replayed and checked inside
-        _emit_sequence(args, seq)
-        return EXIT_OK
+    if k == g.max_degree + 1:  # the engine decides whether the graph fits its route
+        with contextlib.suppress(
+            GraphDisconnectedError, GraphIsRegularError, MaxDegreeTooSmallError
+        ):
+            _emit_sequence(args, find_path_non_regular(g, a, b))  # replayed inside
+            return EXIT_OK
 
     decision = decide_k_colour_path(g, k, a, b, args.limit)
     if decision.answer is False:
@@ -169,9 +165,6 @@ def cmd_path(args: argparse.Namespace) -> int:
     if decision.answer is None:
         print(f"inconclusive: {decision.reason}")
         return EXIT_INCONCLUSIVE
-    if a.colours == b.colours:  # the empty walk; no space to enumerate
-        _emit_sequence(args, RecolouringSequence())
-        return EXIT_OK
     try:
         seq = oracle_path(g, k, a, b, args.limit)  # reuses decision.space
     except StateSpaceLimitError as exc:
@@ -245,6 +238,9 @@ def _write_reproducer(args: argparse.Namespace, g: Graph, details: dict, tag: st
 def cmd_verify_corpus(args: argparse.Namespace) -> int:
     if not 4 <= args.max_n <= 8:
         print("--max-n must be between 4 and 8", file=sys.stderr)
+        return EXIT_INPUT
+    if args.pairs < 0:
+        print("--pairs must not be negative", file=sys.stderr)
         return EXIT_INPUT
     graphs = corpus(4, args.max_n)
     rng = random.Random(args.seed)

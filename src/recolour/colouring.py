@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     ColouringParseError,
@@ -69,14 +69,16 @@ def require_proper(g: Graph, c: Colouring, role: str = "colouring") -> None:
         raise ImproperInputError(f"{role} is not proper")
 
 
-def _neighbour_colours(g: Graph, c: Colouring, v: int) -> set[int]:
-    return {c.colours[u] for u in g.adjacency[v]}
+def frozen_on(g: Graph, c: Colouring, vertices: Iterable[int]) -> bool:
+    """True iff each of ``vertices`` sees k-1 distinct colours on its neighbours:
+    all the other colours, once the caller has checked ``c`` proper."""
+    return all(len({c.colours[u] for u in g.adjacency[v]}) == c.k - 1 for v in vertices)
 
 
 def is_frozen(g: Graph, c: Colouring) -> bool:
     """True iff every vertex sees all k-1 other colours on its neighbours."""
     require_proper(g, c)
-    return all(len(_neighbour_colours(g, c, v)) == c.k - 1 for v in range(g.n))
+    return frozen_on(g, c, range(g.n))
 
 
 @dataclass(frozen=True)

@@ -194,8 +194,11 @@ def elimination_plan(g: Graph, c: Colouring) -> EliminationPlan | None:
     return None
 
 
-def _eliminate(g: Graph, cols: list[int], k: int) -> tuple[list[Step], list[int]]:
+def _eliminate(
+    g: Graph, ordering: DegeneracyOrdering, cols: list[int], k: int
+) -> tuple[list[Step], list[int]]:
     """Remove colour ``k`` from a proper colouring; returns (steps, final).
+    The steps follow ``ordering`` and are not checked: callers replay them.
 
     One forward scan of the ordering finds every round's start.  A round
     recolours only positions >= h, because the walk's positions strictly
@@ -204,16 +207,12 @@ def _eliminate(g: Graph, cols: list[int], k: int) -> tuple[list[Step], list[int]
     is not k in a proper colouring.  So no position before the cursor ever
     holds k again.
     """
-    ordering = _elimination_setup(g, k)
     cols = list(cols)
     steps: list[Step] = []
     for h, start in enumerate(ordering.order):
         if cols[start] != k:
             continue
         for v, colour in reversed(_walk(g, ordering, cols, k, h)):
-            for u in g.adjacency[v]:
-                if cols[u] == colour:
-                    raise AssertionError("elimination step would be improper")
             cols[v] = colour
             steps.append((v, colour))
     if k in cols:
@@ -226,11 +225,13 @@ def eliminate_top_colour(g: Graph, c: Colouring) -> tuple[RecolouringSequence, C
 
     Requires degeneracy at most k-2 and maximum degree at most k-1 (with
     palette k = D+1 this is exactly degeneracy D-1).  The sequence has at
-    most n^2 steps and recolours no vertex more than n times.
+    most n^2 steps and recolours no vertex more than n times.  Each step is
+    checked once, by the replay from ``c`` that gives the returned colouring.
     """
     require_proper(g, c)
-    steps, cols = _eliminate(g, list(c.colours), c.k)
-    return RecolouringSequence(tuple(steps)), Colouring(c.k, tuple(cols))
+    steps, _ = _eliminate(g, _elimination_setup(g, c.k), list(c.colours), c.k)
+    seq = RecolouringSequence(tuple(steps))
+    return seq, replay(g, c, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +284,12 @@ def _flip_path_components(g: Graph, a: list[int], b: list[int]) -> list[Step]:
 
 
 def _connect(g: Graph, a: list[int], b: list[int], k: int) -> list[Step]:
-    """Steps from ``a`` to ``b`` inside palette ``k``: eliminate colour k
-    from both ends, connect the results, and undo the second elimination."""
-    elim_a, a_low = _eliminate(g, a, k)
-    elim_b, b_low = _eliminate(g, b, k)
+    """Unchecked steps from ``a`` to ``b`` inside palette ``k`` (callers replay
+    them): eliminate colour k from both ends, connect the results, and undo
+    the second elimination."""
+    ordering = _elimination_setup(g, k)
+    elim_a, a_low = _eliminate(g, ordering, a, k)
+    elim_b, b_low = _eliminate(g, ordering, b, k)
     mid = _path_with_scratch(g, a_low, b_low, k)
     back = reverse_sequence(Colouring(k, tuple(b)), RecolouringSequence(tuple(elim_b)))
     return elim_a + mid + list(back.steps)
@@ -328,11 +331,11 @@ def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSe
 
     Pipeline: eliminate the top colour from both sides, connect the two
     top-colour-free colourings, replay the second elimination backwards.
-    Total length is O(n^2).  Both inputs are checked proper on entry, and
-    every elimination step is checked proper as it is made; the parking and
-    palette-3 steps are not checked as they are built.  The whole sequence is
-    then replayed once from the checked start, which checks every step and
-    the final colouring without scanning the start again.
+    Total length is O(n^2).  Both inputs are checked proper on entry; no
+    step is checked as it is built, and one replay of the whole sequence from
+    the checked start then checks every step and the final colouring.  The
+    graph conditions come first, so a caller may try this route and fall back
+    on GraphDisconnectedError, GraphIsRegularError or MaxDegreeTooSmallError.
     """
     if not g.is_connected():
         raise GraphDisconnectedError("path construction requires a connected graph")
@@ -348,7 +351,7 @@ def find_path_non_regular(g: Graph, a: Colouring, b: Colouring) -> RecolouringSe
     if a.colours == b.colours:
         return RecolouringSequence()
 
-    # _eliminate checks degeneracy <= D-1, which the middle segment needs too
+    # _connect checks degeneracy <= D-1, which the middle segment needs too
     seq = RecolouringSequence(tuple(_connect(g, list(a.colours), list(b.colours), delta + 1)))
     final = replay(g, a, seq)
     if final.colours != b.colours:

@@ -186,8 +186,6 @@ class ReconfigSpace:
 
     @cached_property
     def component_labels(self) -> tuple[int, np.ndarray]:
-        if self.size == 0:
-            return 0, np.zeros(0, dtype=np.int32)
         # every move runs both ways, so the strong components are the components
         count, labels = _sparse_components(self._csgraph, directed=True, connection="strong")
         return count, labels
@@ -241,8 +239,6 @@ class ReconfigSpace:
     @cached_property
     def top_counts(self) -> np.ndarray:
         """Per state: number of vertices carrying the top palette colour."""
-        if self.graph.n == 0:
-            return np.zeros(self.size, dtype=np.int16)
         return (self.matrix == self.k).sum(axis=1).astype(np.int16)
 
     def distances_from(self, indices) -> np.ndarray:
@@ -273,8 +269,6 @@ class ReconfigSpace:
 
     def component_sizes(self) -> np.ndarray:
         count, labels = self.component_labels
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
         return np.bincount(labels, minlength=count)
 
     @cached_property
@@ -427,12 +421,15 @@ def oracle_path(
     """A shortest recolouring sequence from ``a`` to ``b``, None if unreachable.
 
     The sequence is the path to ``b`` in the breadth-first tree from ``a``
-    (see the module docstring).
+    (see the module docstring).  Identical colourings, once checked proper,
+    get the empty walk with no space built, so ``limit`` does not apply.
     """
     if a.k != k or b.k != k:
         raise ValueError(f"colourings must use palette {k}")
     require_proper(g, a)
     require_proper(g, b)
+    if a.colours == b.colours:
+        return RecolouringSequence()
     space = ReconfigSpace.of(g, k, limit)
     ia, ib = space.index_of(a), space.index_of(b)
     _, pred = breadth_first_order(

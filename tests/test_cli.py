@@ -81,6 +81,49 @@ def test_path_frozen_negative(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("g, a, b, code, out, declined", [
+    (
+        Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]), (1, 2, 2, 2, 1), (2, 1, 1, 1, 1), 0,
+        '{"steps": 5, "sequence": [[0, 3], [1, 1], [2, 1], [3, 1], [0, 2]], "valid": true}\n',
+        "GraphDisconnectedError",
+    ),
+    (complete_graph(4), (1, 2, 3, 4), (2, 1, 3, 4), 2, "no path: FrozenDistinct\n",
+     "GraphIsRegularError"),
+    (
+        path_graph(4), (1, 2, 1, 2), (2, 1, 2, 1), 0,
+        '{"steps": 6, "sequence": [[0, 3], [2, 3], [1, 1], [0, 2], [3, 1], [2, 2]], '
+        '"valid": true}\n',
+        "MaxDegreeTooSmallError",
+    ),
+], ids=["disconnected", "regular", "max-degree-2"])
+def test_path_at_top_palette_off_the_constructive_route(
+    tmp_path, capsys, monkeypatch, g, a, b, code, out, declined
+):
+    """At k = D+1 the engine decides whether the graph fits its route; a
+    graph it declines goes to the decision and the oracle."""
+    engine_route = cli.find_path_non_regular
+    errors = []
+
+    def recording(*args):
+        try:
+            return engine_route(*args)
+        except Exception as exc:
+            errors.append(type(exc).__name__)
+            raise
+
+    monkeypatch.setattr(cli, "find_path_non_regular", recording)
+    k = g.max_degree + 1
+    assert main([
+        "path",
+        "--graph", write(tmp_path, "g.txt", format_graph(g)),
+        "--colouring-a", write(tmp_path, "a.txt", colouring_to_text(Colouring(k, a))),
+        "--colouring-b", write(tmp_path, "b.txt", colouring_to_text(Colouring(k, b))),
+        "--format", "json",
+    ]) == code
+    assert capsys.readouterr() == (out, "")
+    assert errors == [declined]
+
+
 def test_path_oracle_fallback(tmp_path, capsys):
     g = path_graph(3)
     code = main([
@@ -375,6 +418,12 @@ def test_verify_corpus_writes_one_reproducer_per_failure(tmp_path, capsys, monke
 
 def test_verify_corpus_rejects_bad_n():
     assert main(["verify-corpus", "--max-n", "12"]) == 1
+
+
+def test_verify_corpus_rejects_negative_pairs(capsys):
+    """A negative count would sample no pair and pass every cross-check."""
+    assert main(["verify-corpus", "--max-n", "4", "--pairs", "-3"]) == 1
+    assert capsys.readouterr() == ("", "--pairs must not be negative\n")
 
 
 def test_verify_corpus_has_no_cache_dir(capsys):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recolour import colouring
+from recolour import colouring, engine
 from recolour.colouring import (
     Colouring,
     RecolouringSequence,
     apply_sequence,
     is_proper,
+    replay,
 )
 from recolour.corpus import random_proper_colouring
 from recolour.degeneracy import degeneracy_ordering
@@ -29,6 +30,7 @@ from recolour.errors import (
     GraphDisconnectedError,
     GraphIsRegularError,
     ImproperInputError,
+    ImproperIntermediateError,
     MaxDegreeTooSmallError,
     ScratchColourInUseError,
 )
@@ -206,6 +208,26 @@ def test_eliminate_p4_example(p4):
     assert oracle_path(p4, 3, c, out) is not None
 
 
+def test_eliminate_top_colour_checks_each_step_once(star3, monkeypatch):
+    """The returned colouring comes from one replay of the whole sequence,
+    and that replay rejects an improper step that the walk produced."""
+    c = Colouring(4, (1, 2, 3, 4))
+    replayed = []
+
+    def counting(g, start, seq):
+        replayed.append(len(seq))
+        return replay(g, start, seq)
+
+    monkeypatch.setattr(engine, "replay", counting)
+    seq, out = eliminate_top_colour(star3, c)
+    assert replayed == [len(seq)] and not out.uses(4)
+    # leaf 3 takes the centre's colour 1: the top colour goes, improperly
+    monkeypatch.setattr(engine, "_walk", lambda *args: [(3, 1)])
+    with pytest.raises(ImproperIntermediateError) as exc:
+        eliminate_top_colour(star3, c)
+    assert exc.value.step == 0
+
+
 def test_eliminate_rejects_high_degeneracy(c5):
     with pytest.raises(DegeneracyTooHighError):
         eliminate_top_colour(c5, Colouring(3, (1, 2, 1, 2, 3)))
@@ -377,6 +399,27 @@ def test_find_path_envelope_on_larger_graphs(seed):
         seq = find_path_non_regular(g, a, b)
         assert apply_sequence(g, a, seq).colours == b.colours
         assert len(seq) <= 3 * n ** 2 + 2 * n * delta
+
+
+def test_find_path_sets_up_each_level_once(monkeypatch):
+    """One degeneracy ordering per recursion level serves both of its
+    eliminations: the palettes set up run down from D+1 without repeats."""
+    g = Graph.from_edges(6, [
+        (0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5),
+    ])
+    a = Colouring(5, (5, 4, 5, 3, 1, 2))
+    b = Colouring(5, (3, 4, 3, 1, 5, 4))
+    setup = engine._elimination_setup
+    palettes = []
+
+    def counting(g, k):
+        palettes.append(k)
+        return setup(g, k)
+
+    monkeypatch.setattr(engine, "_elimination_setup", counting)
+    seq = find_path_non_regular(g, a, b)
+    assert apply_sequence(g, a, seq).colours == b.colours
+    assert palettes == [5, 4, 3]
 
 
 def test_find_path_rejects_regular(c6, k4):

@@ -14,11 +14,16 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import recolour
-from recolour.colouring import Colouring, apply_sequence, is_frozen
+from recolour.colouring import Colouring, RecolouringSequence, apply_sequence, is_frozen
 from recolour.corpus import corpus, random_proper_colouring
 from recolour.engine import find_path_non_regular
-from recolour.errors import StateSpaceInvariantError, StateSpaceLimitError
+from recolour.errors import (
+    ImproperInputError,
+    StateSpaceInvariantError,
+    StateSpaceLimitError,
+)
 from recolour.explorer import (
+    ReconfigGraphSummary,
     ReconfigSpace,
     oracle_path,
     verify_lemma_cubic2,
@@ -49,6 +54,13 @@ def test_enumeration_counts(p3, k4):
     assert ReconfigSpace(p3, 3).size == 12  # 3 * 2 * 2
     assert ReconfigSpace(k4, 4).size == 24  # 4!
     assert ReconfigSpace(k4, 3).size == 0
+    # the two empty shapes: one state of no vertices, and no states at all
+    empty_graph = ReconfigSpace(Graph(0, ()), 1)
+    assert empty_graph.top_counts.tolist() == [0]
+    assert empty_graph.summary() == ReconfigGraphSummary(1, ((1, 0),), 1, 0)
+    no_states = ReconfigSpace(k4, 3)
+    assert no_states.top_counts.tolist() == []
+    assert no_states.summary() == ReconfigGraphSummary(0, (), 0, 0)
 
 
 def test_enumeration_is_lexicographic(p3):
@@ -129,6 +141,19 @@ def test_distance_examples(p3, c6):
     assert oracle_path(c6, 3, frozen, other) is None
     empty = Colouring(1, ())
     assert len(oracle_path(Graph(0, ()), 1, empty, empty)) == 0
+
+
+def test_oracle_path_joins_identical_colourings_without_a_space(p4, builds):
+    """Identical colourings are joined by the empty walk, even past the
+    limit, and no space is built; they are still checked first."""
+    a = Colouring(3, (1, 2, 1, 2))
+    assert oracle_path(p4, 3, a, a, limit=10) == RecolouringSequence()  # 3**4 raw states
+    assert builds == []
+    improper = Colouring(3, (1, 1, 2, 1))
+    with pytest.raises(ImproperInputError):
+        oracle_path(p4, 3, improper, improper, limit=10)
+    with pytest.raises(StateSpaceLimitError):
+        oracle_path(p4, 3, a, Colouring(3, (2, 1, 2, 1)), limit=10)
 
 
 def test_oracle_path_rejects_colourings_from_another_palette(p3):
