@@ -99,14 +99,12 @@ def decide_k_colour_path(
         return PathDecision(True, REASON_TRIVIAL_YES)
 
     delta = g.max_degree
-    comps = connected_components(g)
-
     if k <= 2:
         # a proper 1-colouring is unique, so k = 2 here: components with an
         # edge admit no recolouring at all, single vertices flip freely
         stuck = [
             comp
-            for comp in comps
+            for comp in connected_components(g)
             if len(comp) > 1 and any(a.colours[v] != b.colours[v] for v in comp)
         ]
         if stuck:
@@ -118,7 +116,7 @@ def decide_k_colour_path(
 
     if k >= 4 and delta == k - 1:
         frozen_witnesses = []
-        for comp in comps:
+        for comp in connected_components(g):
             # neighbours of a component's vertices stay inside the component
             if all(a.colours[v] == b.colours[v] for v in comp):
                 if frozen_on(g, a, comp):
@@ -132,7 +130,7 @@ def decide_k_colour_path(
 
     if k == 3 and delta == 2:
         any_cycle = False
-        for comp in comps:
+        for comp in connected_components(g):
             # neighbours of a component's vertices stay inside the component
             if any(g.degree[v] != 2 for v in comp):
                 continue  # isolated vertex or path component: always reconfigurable

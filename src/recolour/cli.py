@@ -84,13 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, graph: bool = True):
+    def common(p: argparse.ArgumentParser, graph: bool = True, replay: bool = False):
         if graph:
             p.add_argument("--graph", type=Path, required=True, help="edge-list file")
-        p.add_argument("--limit", type=int, default=None,
-                       help="raw state-space cap for exhaustive operations")
+        if not replay:  # a replay enumerates nothing and writes nothing
+            p.add_argument("--limit", type=int, help="raw state-space cap for exhaustive operations")
         p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-        p.add_argument("--out", type=Path, default=None, help="output file")
+        if not replay:
+            p.add_argument("--out", type=Path, help="output file")
 
     p_path = sub.add_parser("path", help="construct a recolouring walk between two colourings")
     common(p_path)
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_path.add_argument("--colouring-b", type=Path, required=True)
 
     p_val = sub.add_parser("validate", help="replay a sequence from a start colouring")
-    common(p_val)
+    common(p_val, replay=True)
     p_val.add_argument("--colouring-a", type=Path, required=True, help="start colouring")
     p_val.add_argument("--sequence", type=Path, required=True)
 
@@ -322,7 +323,7 @@ def _decision_cross_check(g: Graph, k: int, args: argparse.Namespace, rng: rando
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.limit is None:
+    if "limit" in args and args.limit is None:  # validate takes no --limit
         args.limit = _default_limit()
     handlers = {
         "path": cmd_path,

@@ -103,13 +103,14 @@ def kempe_swap_via_scratch(g: Graph, c: Colouring, comp: KempeComponent) -> Reco
     any neighbour of the component, and the component must be a maximal
     connected piece of the {i, j}-coloured subgraph.  The result has exactly
     2*|j-coloured| + |i-coloured| steps and fixes every other vertex.
+    ``c`` is checked proper by :func:`kempe_component`, or here if ``comp`` is empty.
     """
-    require_proper(g, c)
     i, j = comp.colour_i, comp.colour_j
     scratch = c.k
     if i == j or scratch in (i, j):
         raise ValueError("swap colours must be distinct and differ from the scratch colour")
     if not comp.vertices:
+        require_proper(g, c)
         return RecolouringSequence()
 
     if set(kempe_component(g, c, comp.vertices[0], i, j).vertices) != set(comp.vertices):

@@ -56,7 +56,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _sparse_components
 
 from .colouring import Colouring, RecolouringSequence, require_proper
-from .errors import StateSpaceInvariantError, StateSpaceLimitError
+from .errors import ImproperInputError, StateSpaceInvariantError, StateSpaceLimitError
 from .graph import Graph
 
 DEFAULT_STATE_LIMIT = 2_000_000
@@ -187,8 +187,7 @@ class ReconfigSpace:
     @cached_property
     def component_labels(self) -> tuple[int, np.ndarray]:
         # every move runs both ways, so the strong components are the components
-        count, labels = _sparse_components(self._csgraph, directed=True, connection="strong")
-        return count, labels
+        return _sparse_components(self._csgraph, directed=True, connection="strong")
 
     @cached_property
     def _distinct_neighbour_colours(self) -> np.ndarray:
@@ -251,7 +250,8 @@ class ReconfigSpace:
         return dist
 
     def index_of(self, c: Colouring) -> int:
-        """State index of a proper colouring (values may use fewer colours)."""
+        """State index of a proper colouring (values may use fewer colours);
+        every state is proper, so any other colouring is ImproperInputError."""
         if c.n != self.graph.n:
             raise ValueError("colouring does not match the graph")
         if max(c.colours, default=1) > self.k:
@@ -261,7 +261,7 @@ class ReconfigSpace:
         )
         pos = int(np.searchsorted(self.codes, code))
         if pos >= self.size or self.codes[pos] != code:
-            raise ValueError("colouring is not a proper colouring of the graph")
+            raise ImproperInputError("colouring is not a proper colouring of the graph")
         return pos
 
     def colouring_at(self, index: int) -> Colouring:
@@ -421,21 +421,21 @@ def oracle_path(
     """A shortest recolouring sequence from ``a`` to ``b``, None if unreachable.
 
     The sequence is the path to ``b`` in the breadth-first tree from ``a``
-    (see the module docstring).  Identical colourings, once checked proper,
-    get the empty walk with no space built, so ``limit`` does not apply.
+    (see the module docstring).  Identical colourings are checked proper and
+    joined by the empty walk, with no space built and no limit; distinct ones
+    are checked by :meth:`ReconfigSpace.index_of`, after the limit.
     """
     if a.k != k or b.k != k:
         raise ValueError(f"colourings must use palette {k}")
-    require_proper(g, a)
-    require_proper(g, b)
     if a.colours == b.colours:
+        require_proper(g, a)
         return RecolouringSequence()
     space = ReconfigSpace.of(g, k, limit)
     ia, ib = space.index_of(a), space.index_of(b)
     _, pred = breadth_first_order(
         space._csgraph, ia, directed=True, return_predecessors=True
     )
-    if ib != ia and pred[ib] < 0:
+    if pred[ib] < 0:
         return None
     chain = [ib]
     while chain[-1] != ia:
@@ -563,7 +563,7 @@ def verify_theorem_main(
     count, labels = space.component_labels
     sizes = space.component_sizes()
     frozen = space.frozen_mask
-    isolated = sizes[labels] == 1 if count else np.zeros(0, dtype=bool)
+    isolated = sizes[labels] == 1
     stats = {
         "states": space.size,
         "components": int(count),

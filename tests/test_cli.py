@@ -8,20 +8,21 @@ from pathlib import Path
 import pytest
 
 import recolour
-from recolour import cli
+from recolour import cli, colouring
 from recolour.classifier import decide_k_colour_path
 from recolour.cli import main
 from recolour.colouring import (
     Colouring,
     apply_sequence,
     colouring_to_text,
+    is_proper,
     sequence_from_text,
     sequence_to_text,
     RecolouringSequence,
 )
 from recolour.corpus import corpus
 from recolour.explorer import CheckReport
-from recolour.graph import Graph, format_graph
+from recolour.graph import Graph, connected_components, format_graph
 
 from conftest import (
     complete_graph,
@@ -218,6 +219,63 @@ def test_path_oracle_route_enumerates_once(tmp_path, capsys, builds):
     assert len(builds) == 1
 
 
+def test_path_oracle_route_scans_each_colouring_once(tmp_path, capsys, monkeypatch):
+    """On the oracle route the decision checks each colouring proper, its
+    oracle rule searches no component of the graph, and the walk leaves its
+    two distinct colourings to the space's own membership check."""
+    scanned, searched = [], []
+
+    def scanning(g, c):
+        scanned.append(c)
+        return is_proper(g, c)
+
+    def searching(g):
+        searched.append(g)
+        return connected_components(g)
+
+    monkeypatch.setattr(colouring, "is_proper", scanning)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "recolour" and getattr(
+            module, "connected_components", None
+        ) is connected_components:
+            monkeypatch.setattr(module, "connected_components", searching)
+    # K_{1,3} at k = 3: max degree above the palette, so only the oracle decides
+    code = main([
+        "path",
+        "--graph", write(tmp_path, "g.txt", format_graph(star_graph(3))),
+        "--colouring-a", write(tmp_path, "a.txt", colouring_to_text(Colouring(3, (1, 2, 2, 2)))),
+        "--colouring-b", write(tmp_path, "b.txt", colouring_to_text(Colouring(3, (1, 3, 3, 3)))),
+        "--format", "json",
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 3
+    assert [c.colours for c in scanned] == [(1, 2, 2, 2), (1, 3, 3, 3)]
+    assert searched == []
+
+
+def test_path_palette_mismatch(tmp_path, capsys):
+    code = main([
+        "path",
+        "--graph", write(tmp_path, "g.txt", format_graph(path_graph(3))),
+        "--colouring-a", write(tmp_path, "a.txt", colouring_to_text(Colouring(3, (1, 2, 1)))),
+        "--colouring-b", write(tmp_path, "b.txt", colouring_to_text(Colouring(4, (1, 2, 1)))),
+    ])
+    assert code == 1
+    assert capsys.readouterr() == ("", "palette mismatch: 3 vs 4\n")
+
+
+def test_colouring_of_another_size(tmp_path, capsys):
+    a = write(tmp_path, "a.txt", colouring_to_text(Colouring(3, (1, 2))))
+    code = main([
+        "path",
+        "--graph", write(tmp_path, "g.txt", format_graph(path_graph(3))),
+        "--colouring-a", a,
+        "--colouring-b", write(tmp_path, "b.txt", colouring_to_text(Colouring(3, (1, 2, 1)))),
+    ])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {a}: colouring covers 2 vertices, graph has 3\n")
+
+
 def test_path_malformed_graph(tmp_path):
     code = main([
         "path",
@@ -322,6 +380,46 @@ def test_validate_parse_error(tmp_path, k4e_files):
     assert code == 1
 
 
+def test_validate_json(tmp_path, k4e_files, capsys):
+    code = main([
+        "validate",
+        "--graph", k4e_files["graph"],
+        "--colouring-a", k4e_files["a"],
+        "--sequence", write(tmp_path, "s.txt", "steps: 2\n0 4\n1 1\n"),
+        "--format", "json",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == '{"steps": 2, "valid": true, "final": [4, 1, 3, 3]}\n'
+
+
+def test_validate_vertex_out_of_range(tmp_path, k4e_files, capsys):
+    code = main([
+        "validate",
+        "--graph", k4e_files["graph"],
+        "--colouring-a", k4e_files["a"],
+        "--sequence", write(tmp_path, "s.txt", "steps: 1\n7 1\n"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().out == "invalid: step 0: vertex 7 out of range\n"
+
+
+@pytest.mark.parametrize("option", [["--out", "seq.txt"], ["--limit", "10"]],
+                         ids=["out", "limit"])
+def test_validate_takes_no_limit_or_out(tmp_path, k4e_files, capsys, option):
+    """A replay enumerates nothing and writes nothing: both options are
+    usage errors, not options read by nobody."""
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "validate",
+            "--graph", k4e_files["graph"],
+            "--colouring-a", k4e_files["a"],
+            "--sequence", write(tmp_path, "s.txt", "steps: 0\n"),
+            *option,
+        ])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 def test_explore_k4(tmp_path, capsys):
     code = main([
         "explore",
@@ -356,6 +454,27 @@ def test_explore_limit(tmp_path):
         "--limit", "10",
     ])
     assert code == 3
+
+
+def test_explore_out(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    code = main([
+        "explore",
+        "--graph", write(tmp_path, "g.txt", format_graph(path_graph(3))),
+        "--k", "3",
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "colourings: 12\nfrozen: 0\nisolated non-frozen: 0\n"
+        "components (size, diameter): (12, 4)\n"
+    )
+    assert json.loads(out.read_text()) == {
+        "totalColourings": 12,
+        "components": [{"size": 12, "diameter": 4}],
+        "frozenCount": 0,
+        "isolatedNonFrozen": 0,
+    }
 
 
 def test_explore_c5(tmp_path, capsys):
@@ -414,6 +533,23 @@ def test_verify_corpus_writes_one_reproducer_per_failure(tmp_path, capsys, monke
         assert json.loads(body[body.index("{"):])["check"] in name
     assert capsys.readouterr().out.count("FAIL ") == len(written) == 12
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_verify_corpus_skips_past_the_limit(capsys):
+    """At n = 4 and limit 100 only k = 3 fits (3**4 = 81).  Skipped: the 12
+    cross-checks at k = 4 and 5, the four checks on each of the four graphs
+    with D = 3, and the two checks on P4 and on C4 that need D >= 3."""
+    code = main([
+        "verify-corpus",
+        "--max-n", "4",
+        "--k-min", "3",
+        "--k-max", "5",
+        "--pairs", "2",
+        "--limit", "100",
+        "--format", "json",
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"graphs": 6, "pass": 10, "fail": 0, "skip": 32}
 
 
 def test_verify_corpus_rejects_bad_n():

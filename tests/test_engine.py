@@ -59,6 +59,22 @@ def test_swap_whole_path(p3):
     assert out.colours == (2, 1, 2)
 
 
+def test_swap_leaves_the_scan_to_the_component_search(p3, monkeypatch):
+    """The swap checks ``c`` proper only through its maximality check's
+    ``kempe_component``: finding the component and swapping it scan ``c``
+    twice in all."""
+    scanned = []
+
+    def counting(g, c):
+        scanned.append(c)
+        return is_proper(g, c)
+
+    monkeypatch.setattr(colouring, "is_proper", counting)
+    c = Colouring(3, (1, 2, 1))
+    kempe_swap_via_scratch(p3, c, kempe_component(p3, c, 0, 1, 2))
+    assert scanned == [c, c]
+
+
 def test_swap_single_vertex():
     g = path_graph(3)
     c = Colouring(3, (1, 2, 1))

@@ -14,6 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import recolour
+from recolour import colouring
 from recolour.colouring import Colouring, RecolouringSequence, apply_sequence, is_frozen
 from recolour.corpus import corpus, random_proper_colouring
 from recolour.engine import find_path_non_regular
@@ -154,6 +155,25 @@ def test_oracle_path_joins_identical_colourings_without_a_space(p4, builds):
         oracle_path(p4, 3, improper, improper, limit=10)
     with pytest.raises(StateSpaceLimitError):
         oracle_path(p4, 3, a, Colouring(3, (2, 1, 2, 1)), limit=10)
+
+
+def test_oracle_path_leaves_distinct_colourings_to_the_space(p4, monkeypatch):
+    """Distinct colourings are checked once, as states of the space, and not
+    scanned for properness: an improper one is no state, so it raises
+    ImproperInputError within the limit and comes after the limit past it."""
+    scanned = []
+    monkeypatch.setattr(colouring, "is_proper", lambda g, c: scanned.append(c) or True)
+    a, improper = Colouring(3, (1, 2, 1, 2)), Colouring(3, (1, 1, 2, 1))
+    space = ReconfigSpace.of(p4, 3)
+    with pytest.raises(ImproperInputError):
+        space.index_of(improper)
+    for first, second in ((a, improper), (improper, a)):
+        with pytest.raises(ImproperInputError):
+            oracle_path(p4, 3, first, second)
+        with pytest.raises(StateSpaceLimitError):
+            oracle_path(p4, 3, first, second, limit=10)
+    assert len(oracle_path(p4, 3, a, Colouring(3, (2, 1, 2, 1)))) == 6
+    assert scanned == []
 
 
 def test_oracle_path_rejects_colourings_from_another_palette(p3):
@@ -412,6 +432,34 @@ def test_lemma_cubic2_machinery_detects_irreducibility():
     assert not (space.top_counts < 2).any()  # nothing to walk towards
     report = verify_lemma_cubic2(g)
     assert report.status == "skip"  # connectivity precondition
+
+
+def test_lemma_cubic2_on_a_graph_with_qualifying_colourings():
+    """No corpus graph up to n = 7 has a qualifying colouring, so the lemma's
+    distance loop needs a larger graph: this connected 10-vertex graph with
+    D = 3 has 12 qualifying 4-colourings, each 3 moves or fewer from a
+    colouring with fewer top-coloured vertices."""
+    g = Graph.from_edges(10, [
+        (0, 3), (0, 4), (0, 5), (1, 2), (1, 6), (1, 8), (2, 5),
+        (2, 8), (3, 4), (3, 6), (4, 7), (6, 9), (7, 8), (7, 9),
+    ])
+    report = verify_lemma_cubic2(g)  # 4**10 raw states, within the default limit
+    assert report.status == "pass"
+    assert report.stats == {
+        "states": 14_640, "qualifying": 12, "max_distance": 3, "max_distance_over_n": 0.3,
+    }
+    space = ReconfigSpace.of(g, 4)
+    qualifying = space.reduced_mask & (space.top_counts >= 2) & ~space.frozen_mask
+    farthest = max(
+        multi_source_distances(space, np.nonzero(space.top_counts < t)[0])[
+            qualifying & (space.top_counts == t)
+        ].max()
+        for t in np.unique(space.top_counts[qualifying])
+    )
+    assert farthest == report.stats["max_distance"]
+    first = verify_lemma_first(g)
+    assert (first.stats["states_with_locked_paths"], first.stats["endvertex_instances"]) == (12, 24)
+    assert verify_theorem_main(g).stats["component_diameter"] == 15
 
 
 def test_verify_lemma_first_small(c6, cube):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -5,6 +6,7 @@ import re
 from pathlib import Path
 
 import recolour
+from recolour import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,6 +124,54 @@ def test_every_public_name_has_a_reader():
         for name in sorted(bound_names(path) - read)
     ]
     assert unread == sorted(f"{getattr(recolour, name).__module__}.{name}" for name in UNREAD)
+
+
+def test_every_cli_option_has_a_reader():
+    """Each option of a subcommand is read by its handler, or by a function
+    of ``cli`` to which the handler passes its arguments.  ``main`` fills in
+    the default limit, which is not a read."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name: str, param: str, seen: set) -> set[str]:
+        """Attributes of ``param`` read in ``name`` and in what it passes ``param`` to."""
+        if (name, param) in seen:
+            return set()
+        seen.add((name, param))
+        found = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == param:
+                    found.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+                callee = functions[node.func.id].args.args
+                for arg, target in zip(node.args, callee):
+                    if isinstance(arg, ast.Name) and arg.id == param:
+                        found |= reads(node.func.id, target.arg, seen)
+        return found
+
+    handlers = next(
+        node for node in ast.walk(functions["main"])
+        if isinstance(node, ast.Dict) and node.keys and all(
+            isinstance(key, ast.Constant) and isinstance(key.value, str) for key in node.keys
+        )
+    )
+    handler_of = {key.value: value.id for key, value in zip(handlers.keys, handlers.values)}
+    commands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    assert sorted(handler_of) == sorted(commands)
+    unread = []
+    for command, parser in commands.items():
+        handler = handler_of[command]
+        read = reads(handler, functions[handler].args.args[0].arg, set())
+        unread += [
+            f"{command} {action.dest}"
+            for action in parser._actions
+            if action.option_strings and action.dest != "help" and action.dest not in read
+        ]
+    assert unread == []
 
 
 def test_scipy_is_read_only_by_the_oracle_searches():
